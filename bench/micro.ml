@@ -162,21 +162,27 @@ let all_tests =
     test_rtx_list_append; test_rtx_queue_append;
   ]
 
-(* ---- tracing-overhead guard ----
+(* ---- observability guards ----
 
-   Every hot-path trace hook in the tree is written as
-   `if Trace.enabled () then Trace.emit ...`, so the disabled cost is
-   one load and one predictable branch. This guard measures that cost
-   for real and fails the build (exit 1) if it regresses past a pinned
-   budget — e.g. if someone moves payload construction outside the
-   guard, or turns the flag check into something allocating. Run by
-   `dune runtest` via the bench rule, and standalone as the
-   `trace-guard` experiment. *)
+   Every observability plane keeps one contract. With the plane off (the
+   state every figure runs in) a probe site costs one load and one
+   predictable branch. Turning the plane on only accumulates: it draws
+   nothing from the PRNG, schedules nothing and charges no vCPU, so
+   Figure 8's stdout is byte-identical with the plane off and on.
+
+   [obs_guard] (run by `dune runtest`) checks both halves for every
+   plane at once: the table of disabled probe sites below, measured in
+   one loop against one pinned budget, then Figure 8 with every plane
+   off and again with all of them on. [obs_planes] (run by tools/ci.sh)
+   repeats the Figure 8 check one plane at a time, so a difference names
+   its plane. Both are no-ops when a plane is already on for the run
+   (--trace, --profile, --flight): the sites would not be disabled, and
+   re-enabling the tracer would resize and clear its event ring. *)
 
 let guard_budget_ns = 25.0
 let guard_iters = 5_000_000
 
-(* best-of-5 per-op cost, like the trace guard has always measured *)
+(* best-of-5 per-op cost *)
 let guard_best f =
   let per_op () =
     let t0 = Sys.time () in
@@ -193,74 +199,87 @@ let guard_best f =
 
 let guard_baseline i = i land 0xff
 
-let trace_guard_measure () =
-  let emit_site i =
-    if Trace.enabled () then
-      Trace.emit ~cat:Trace.Net ~payload:[ ("i", Trace.Int i) ] "guard.event";
-    i land 0xff
-  in
-  let base = guard_best guard_baseline in
-  let site = guard_best emit_site in
-  let cost = Float.max 0.0 (site -. base) in
-  Util.emit ~figure:"trace-guard" ~metric:"disabled-emit-site" ~unit_:"ns/op" cost;
-  Printf.printf "  disabled emit site: %.2f ns/op (baseline %.2f, budget %.1f)\n" cost base
-    guard_budget_ns;
-  if cost > guard_budget_ns then begin
-    Printf.printf "  FAIL: disabled-tracing overhead exceeds budget\n";
-    exit 1
-  end
-  else Printf.printf "  OK: within budget\n"
-
-let trace_guard () =
-  Util.header "Tracing-overhead guard (disabled emit site)";
-  if Trace.enabled () then
-    (* re-enabling after the measurement would resize (and clear) the
-       event ring, so under --trace the guard is a no-op *)
-    Printf.printf "  skipped: tracing is enabled for this run\n"
-  else trace_guard_measure ()
-
-(* ---- monitoring-plane guard ----
-
-   Two invariants of the metrics registry (Trace.Metrics), enforced by
-   `dune runtest` alongside the tracing guard:
-
-   1. With the registry compiled in but the plane off (the default for
-      every figure run), a metric-update site costs one load and one
-      predictable branch — measured for real against the same pinned
-      budget as trace emit sites.
-   2. Even *enabling* the plane must not perturb the simulation:
-      registration is pull-based reads over stats the subsystems keep
-      anyway, so Figure 8's stdout must be byte-identical with metrics
-      off and on (no scraper booted — in-band exposition only charges
-      when something actually scrapes). *)
-
-let monitor_guard_measure () =
-  (* registry disabled: registration is a no-op and the handles are
-     detached, exactly the state every figure runs in *)
+(* Every kind of disabled probe site in the tree, written the way the
+   tree writes it. Built with every plane off, so the metric handles are
+   detached and no capture is attached, exactly as in a figure run. *)
+let probe_sites () =
   let counter = Trace.Metrics.counter "guard_counter" in
-  let summ = Trace.Metrics.summary "guard_summary" in
-  let inc_site i =
-    Trace.Metrics.inc counter 1;
-    i land 0xff
-  in
-  let observe_site i =
-    Trace.Metrics.observe summ i;
-    i land 0xff
-  in
+  let summary = Trace.Metrics.summary "guard_summary" in
+  let cap : Netsim.Capture.t option ref = ref None in
+  let frame = Bytestruct.create 64 in
+  [
+    ( "trace-emit",
+      fun i ->
+        if Trace.enabled () then
+          Trace.emit ~cat:Trace.Net ~payload:[ ("i", Trace.Int i) ] "guard.event";
+        i land 0xff );
+    ( "metrics-inc",
+      fun i ->
+        Trace.Metrics.inc counter 1;
+        i land 0xff );
+    ( "metrics-observe",
+      fun i ->
+        Trace.Metrics.observe summary i;
+        i land 0xff );
+    ( "prof-account",
+      fun i ->
+        if Trace.Prof.enabled () then Trace.Prof.account ~dom:0 i;
+        i land 0xff );
+    ( "prof-frame",
+      fun i ->
+        let f () = i land 0xff in
+        Trace.Prof.with_frame "guard" f );
+    ( "dpath-measure",
+      fun i ->
+        let f () = i land 0xff in
+        Trace.Dpath.measure Trace.Dpath.Tcp ~vcpu_ns:i f );
+    ( "flight-note",
+      fun i ->
+        if Trace.Flight.enabled () then Trace.Flight.note ~dom:0 ~cat:Trace.Net "guard.note";
+        i land 0xff );
+    (* a site serving several planes, like the scheduler's dispatch *)
+    ( "multi-plane",
+      fun i ->
+        let planes = Trace.planes () in
+        if planes <> 0 then begin
+          if planes land Trace.plane_trace <> 0 then Trace.emit ~cat:Trace.Sched "guard.dispatch";
+          if planes land Trace.plane_flight <> 0 then Trace.Flight.watermark "guard" i
+        end;
+        i land 0xff );
+    ( "capture-record",
+      fun i ->
+        (match !cap with
+        | None -> ()
+        | Some c -> Netsim.Capture.record c ~dir:Netsim.Tx ~link:0 ~time_ns:i frame);
+        i land 0xff );
+  ]
+
+let unless_planes_on f =
+  if Trace.planes () <> 0 then
+    Printf.printf "  skipped: an observability plane is enabled for this run\n"
+  else f ()
+
+let measure_sites () =
   let base = guard_best guard_baseline in
-  let inc_cost = Float.max 0.0 (guard_best inc_site -. base) in
-  let obs_cost = Float.max 0.0 (guard_best observe_site -. base) in
-  Util.emit ~figure:"monitor-guard" ~metric:"disabled-inc-site" ~unit_:"ns/op" inc_cost;
-  Util.emit ~figure:"monitor-guard" ~metric:"disabled-observe-site" ~unit_:"ns/op" obs_cost;
-  Printf.printf "  disabled inc site    : %.2f ns/op (baseline %.2f, budget %.1f)\n" inc_cost
-    base guard_budget_ns;
-  Printf.printf "  disabled observe site: %.2f ns/op (baseline %.2f, budget %.1f)\n" obs_cost
-    base guard_budget_ns;
-  if inc_cost > guard_budget_ns || obs_cost > guard_budget_ns then begin
-    Printf.printf "  FAIL: disabled-metrics overhead exceeds budget\n";
+  let over =
+    List.filter_map
+      (fun (name, site) ->
+        let cost = Float.max 0.0 (guard_best site -. base) in
+        Util.emit ~figure:"obs-guard" ~metric:(name ^ "-site") ~unit_:"ns/op" cost;
+        Printf.printf "  disabled %-15s site: %5.2f ns/op (baseline %.2f, budget %.1f)\n" name cost
+          base guard_budget_ns;
+        if cost > guard_budget_ns then Some name else None)
+      (probe_sites ())
+  in
+  if over <> [] then begin
+    Printf.printf "  FAIL: disabled-site overhead exceeds budget: %s\n" (String.concat ", " over);
     exit 1
   end
-  else Printf.printf "  OK: within budget\n"
+  else Printf.printf "  OK: every disabled site within budget\n"
+
+let probe_site_guard () =
+  Util.header "Observability guard (every disabled probe site)";
+  unless_planes_on measure_sites
 
 let capture_stdout f =
   flush stdout;
@@ -279,178 +298,94 @@ let capture_stdout f =
   Sys.remove tmp;
   s
 
-let fig8_invariance () =
-  (* fig8 runs twice under capture; restore the --out records afterwards
-     so its data points are not triplicated in a full-suite bench.json *)
-  let saved_results = !Util.results in
-  let off = capture_stdout Fig8.run in
-  Trace.Metrics.enable ();
-  let on = capture_stdout Fig8.run in
-  Trace.Metrics.disable ();
-  Trace.Metrics.reset ();
-  Util.results := saved_results;
-  Util.emit ~figure:"monitor-guard" ~metric:"fig8-byte-identical" ~unit_:"bool"
-    (if off = on then 1.0 else 0.0);
-  if off = on then
-    Printf.printf "  OK: figure 8 stdout byte-identical with metrics off/on (%d bytes)\n"
-      (String.length off)
-  else begin
-    Printf.printf "  FAIL: enabling the metrics registry changed figure 8 output\n";
-    exit 1
-  end
+type plane = { p_name : string; p_on : unit -> unit; p_off : unit -> unit }
 
-let monitor_guard () =
-  Util.header "Monitoring-plane guard (disabled metric sites, figure-8 invariance)";
-  if Trace.Metrics.enabled () then
-    Printf.printf "  skipped: the metrics registry is enabled for this run\n"
-  else begin
-    monitor_guard_measure ();
-    fig8_invariance ()
-  end
+(* Wire capture is a plane too, though not a [Trace] one: every world
+   made while it is on gets a capture recording its whole bridge. *)
+let capture_plane =
+  {
+    p_name = "capture";
+    p_on = (fun () -> Util.capture_worlds := true);
+    p_off =
+      (fun () ->
+        Util.capture_worlds := false;
+        Util.close_world_captures ());
+  }
 
-(* ---- profiler guard ----
+let trace_plane p_name ~enable ~disable ~reset =
+  {
+    p_name;
+    p_on = enable;
+    p_off =
+      (fun () ->
+        disable ();
+        reset ());
+  }
 
-   Same contract as the trace and metrics guards, for the profiling
-   plane (Trace.Prof / Trace.Dpath / Trace.Flight): every hot site is
-   `if X.enabled () then ... else f ()`, so with the planes off (the
-   default for every figure run) the cost is one load and one
-   predictable branch. Measured for real against the shared pinned
-   budget; then Figure 8 must be byte-identical with all three planes
-   enabled, because profiling and the flight recorder only accumulate —
-   they never change scheduling, costs or behaviour. *)
+let planes =
+  let open Trace in
+  [
+    trace_plane "metrics" ~enable:Metrics.enable ~disable:Metrics.disable ~reset:Metrics.reset;
+    trace_plane "prof" ~enable:Prof.enable ~disable:Prof.disable ~reset:Prof.reset;
+    trace_plane "dpath" ~enable:Dpath.enable ~disable:Dpath.disable ~reset:Dpath.reset;
+    trace_plane "flight" ~enable:(fun () -> Flight.enable ()) ~disable:Flight.disable
+      ~reset:Flight.reset;
+    capture_plane;
+  ]
 
-let profile_guard_measure () =
-  let account_site i =
-    if Trace.Prof.enabled () then Trace.Prof.account ~dom:0 i;
-    i land 0xff
-  in
-  let frame_site i =
-    let f () = i land 0xff in
-    if Trace.Prof.enabled () then Trace.Prof.with_frame "guard" f else f ()
-  in
-  let dpath_site i =
-    let f () = i land 0xff in
-    if Trace.Dpath.enabled () then Trace.Dpath.measure Trace.Dpath.Tcp ~vcpu_ns:i f else f ()
-  in
-  let flight_site i =
-    if Trace.Flight.enabled () then Trace.Flight.note ~dom:0 ~cat:Trace.Net "guard.note";
-    i land 0xff
-  in
-  let base = guard_best guard_baseline in
-  let report metric cost =
-    Util.emit ~figure:"profile-guard" ~metric ~unit_:"ns/op" cost;
-    Printf.printf "  disabled %-13s: %.2f ns/op (baseline %.2f, budget %.1f)\n" metric cost base
-      guard_budget_ns;
-    cost > guard_budget_ns
-  in
-  let bad_account = report "account-site" (Float.max 0.0 (guard_best account_site -. base)) in
-  let bad_frame = report "frame-site" (Float.max 0.0 (guard_best frame_site -. base)) in
-  let bad_dpath = report "dpath-site" (Float.max 0.0 (guard_best dpath_site -. base)) in
-  let bad_flight = report "flight-site" (Float.max 0.0 (guard_best flight_site -. base)) in
-  let bad = bad_account || bad_frame || bad_dpath || bad_flight in
-  if bad then begin
-    Printf.printf "  FAIL: disabled-profiler overhead exceeds budget\n";
-    exit 1
-  end
-  else Printf.printf "  OK: within budget\n"
-
-let fig8_profile_invariance () =
-  let saved_results = !Util.results in
-  let off = capture_stdout Fig8.run in
-  Trace.Prof.enable ();
-  Trace.Dpath.enable ();
-  Trace.Flight.enable ();
-  let on = capture_stdout Fig8.run in
-  Trace.Prof.disable ();
-  Trace.Prof.reset ();
-  Trace.Dpath.disable ();
-  Trace.Dpath.reset ();
-  Trace.Flight.disable ();
-  Trace.Flight.reset ();
-  Util.results := saved_results;
-  Util.emit ~figure:"profile-guard" ~metric:"fig8-byte-identical" ~unit_:"bool"
-    (if off = on then 1.0 else 0.0);
-  if off = on then
-    Printf.printf
-      "  OK: figure 8 stdout byte-identical with profiler+flight recorder off/on (%d bytes)\n"
-      (String.length off)
-  else begin
-    Printf.printf "  FAIL: enabling the profiling planes changed figure 8 output\n";
-    exit 1
-  end
-
-let profile_guard () =
-  Util.header "Profiler guard (disabled frame/account/dpath/flight sites, figure-8 invariance)";
-  if Trace.Prof.enabled () || Trace.Dpath.enabled () || Trace.Flight.enabled () then
-    Printf.printf "  skipped: a profiling plane is enabled for this run\n"
-  else begin
-    profile_guard_measure ();
-    fig8_profile_invariance ()
-  end
-
-(* ---- capture guard ----
-
-   Same contract again, for the wire-capture plane. The per-vif capture
-   sites in Devices.Netif are `match t.capture with None -> () | Some c
-   -> Capture.record ...` and the bridge's tap dispatch is `match taps
-   with [] -> () | ...`, so with no capture installed (the state every
-   figure runs in) the per-frame cost is one load and one branch —
-   measured for real against the shared pinned budget. Then Figure 8
-   must be byte-identical with a bridge-wide capture attached and
-   recording, because capture only retains references: it draws nothing
-   from the PRNG, schedules nothing and charges no vCPU. *)
-
-let capture_guard_measure () =
-  let cap : Netsim.Capture.t option ref = ref None in
-  let frame = Bytestruct.create 64 in
-  let capture_site i =
-    (match !cap with
-    | None -> ()
-    | Some c -> Netsim.Capture.record c ~dir:Netsim.Tx ~link:0 ~time_ns:i frame);
-    i land 0xff
-  in
-  let base = guard_best guard_baseline in
-  let cost = Float.max 0.0 (guard_best capture_site -. base) in
-  Util.emit ~figure:"capture-guard" ~metric:"disabled-capture-site" ~unit_:"ns/op" cost;
-  Printf.printf "  disabled capture site: %.2f ns/op (baseline %.2f, budget %.1f)\n" cost base
-    guard_budget_ns;
-  if cost > guard_budget_ns then begin
-    Printf.printf "  FAIL: disabled-capture overhead exceeds budget\n";
-    exit 1
-  end
-  else Printf.printf "  OK: within budget\n"
-
-let fig8_capture_invariance () =
-  let saved_results = !Util.results in
-  let off = capture_stdout Fig8.run in
-  Util.capture_worlds := true;
-  let on = capture_stdout Fig8.run in
-  Util.capture_worlds := false;
-  let recorded =
+(* Figure 8's stdout with the [on] planes switched on, and the frames
+   the attached captures saw. *)
+let fig8_with on =
+  List.iter (fun p -> p.p_on ()) on;
+  let out = capture_stdout Fig8.run in
+  let frames =
     List.fold_left (fun acc c -> acc + Netsim.Capture.matched c) 0 !Util.world_captures
   in
-  Util.close_world_captures ();
-  Util.results := saved_results;
-  Util.emit ~figure:"capture-guard" ~metric:"fig8-byte-identical" ~unit_:"bool"
-    (if off = on then 1.0 else 0.0);
-  if recorded = 0 then begin
-    Printf.printf "  FAIL: the attached captures observed no frames (guard is vacuous)\n";
-    exit 1
-  end;
-  if off = on then
-    Printf.printf
-      "  OK: figure 8 stdout byte-identical with wire capture off/on (%d bytes, %d frames \
-       captured)\n"
-      (String.length off) recorded
-  else begin
-    Printf.printf "  FAIL: attaching a wire capture changed figure 8 output\n";
-    exit 1
-  end
+  List.iter (fun p -> p.p_off ()) on;
+  (out, frames)
 
-let capture_guard () =
-  Util.header "Capture guard (disabled per-vif capture site, figure-8 invariance)";
-  capture_guard_measure ();
-  fig8_capture_invariance ()
+(* Figure 8 once with every plane off, then once per [(label, planes)]
+   case with those planes on. A capture that saw no frames would make
+   its case vacuous, so that fails too. *)
+let fig8_invariance ~figure cases =
+  (* fig8 runs several times under capture; restore the --out records
+     afterwards so its data points are not repeated in a full-suite
+     bench.json *)
+  let saved_results = !Util.results in
+  let reference, _ = fig8_with [] in
+  let verdicts = List.map (fun (label, on) -> (label, on, fig8_with on)) cases in
+  Util.results := saved_results;
+  let oks =
+    List.map
+      (fun (label, on, (out, frames)) ->
+        let same = out = reference in
+        Util.emit ~figure ~metric:(label ^ "/fig8-byte-identical") ~unit_:"bool"
+          (if same then 1.0 else 0.0);
+        let vacuous = List.memq capture_plane on && frames = 0 in
+        if vacuous then
+          Printf.printf "  FAIL: %s: the attached captures observed no frames (check is vacuous)\n"
+            label
+        else if same then
+          Printf.printf "  OK: figure 8 stdout byte-identical with %s off/on (%d bytes%s)\n" label
+            (String.length out)
+            (if frames > 0 then Printf.sprintf ", %d frames captured" frames else "")
+        else Printf.printf "  FAIL: turning on %s changed figure 8 output\n" label;
+        same && not vacuous)
+      verdicts
+  in
+  if List.mem false oks then exit 1
+
+let obs_guard () =
+  Util.header "Observability guard (every disabled probe site, figure-8 invariance)";
+  unless_planes_on (fun () ->
+      measure_sites ();
+      fig8_invariance ~figure:"obs-guard"
+        [ (String.concat "+" (List.map (fun p -> p.p_name) planes), planes) ])
+
+let obs_planes () =
+  Util.header "Observability planes (figure-8 invariance, one plane at a time)";
+  unless_planes_on (fun () ->
+      fig8_invariance ~figure:"obs-planes" (List.map (fun p -> (p.p_name, [ p ])) planes))
 
 let run () =
   Util.header "Microbenchmarks (real wall-clock, Bechamel)";
@@ -475,4 +410,4 @@ let run () =
   Printf.printf
     "   functional map's advantage is structural - immunity to the hash-collision\n";
   Printf.printf "   denial-of-service the paper describes)\n";
-  trace_guard ()
+  probe_site_guard ()

@@ -124,13 +124,11 @@ let backend_handle_tx t () =
               Bytestruct.LE.set_uint16 rsp 0 id;
               Bytestruct.LE.set_uint16 rsp 2 0 (* NETIF_RSP_OKAY *)
             in
-            if Trace.Dpath.enabled () then
-              Trace.Dpath.measure Trace.Dpath.Ring_slot ~vcpu_ns:backend_per_packet_ns work
-            else work ()))
+            Trace.Dpath.measure Trace.Dpath.Ring_slot ~vcpu_ns:backend_per_packet_ns work))
   in
   if n > 0 then begin
     let kick () = Xensim.Domain.charge_k t.backend_dom ~cost:(n * backend_per_packet_ns) (fun () -> ()) in
-    if Trace.Prof.enabled () then Trace.Prof.with_frame "netif" kick else kick ();
+    Trace.Prof.with_frame "netif" kick;
     if Xensim.Ring.Back.push_responses_and_check_notify t.tx_back then
       Xensim.Evtchn.notify (evtchn t) t.tx_port_back
   end
@@ -152,13 +150,11 @@ let backend_deliver_frame t ~id ~gref frame =
     Bytestruct.LE.set_uint16 rsp 0 id;
     Bytestruct.LE.set_uint16 rsp 2 (Bytestruct.length frame);
     let kick () = Xensim.Domain.charge_k t.backend_dom ~cost:backend_per_packet_ns (fun () -> ()) in
-    if Trace.Prof.enabled () then Trace.Prof.with_frame "netif" kick else kick ();
+    Trace.Prof.with_frame "netif" kick;
     if Xensim.Ring.Back.push_responses_and_check_notify t.rx_back then
       Xensim.Evtchn.notify (evtchn t) t.rx_port_back
   in
-  if Trace.Dpath.enabled () then
-    Trace.Dpath.measure Trace.Dpath.Ring_slot ~vcpu_ns:backend_per_packet_ns work
-  else work ()
+  Trace.Dpath.measure Trace.Dpath.Ring_slot ~vcpu_ns:backend_per_packet_ns work
 
 let backend_handle_frame t frame =
   (* Pull any freshly-posted credit before deciding to drop. *)
@@ -291,11 +287,7 @@ let frontend_handle_rx_responses t () =
               if Xensim.Ring.Front.push_requests_and_check_notify t.rx_front then
                 Xensim.Evtchn.notify (evtchn t) t.rx_port_front)
         in
-        let deliver () =
-          if Trace.Dpath.enabled () then
-            Trace.Dpath.measure Trace.Dpath.Netfront ~vcpu_ns:cost deliver
-          else deliver ()
-        in
+        let deliver () = Trace.Dpath.measure Trace.Dpath.Netfront ~vcpu_ns:cost deliver in
         (* Charge under the [netif] frame so the rx work — and everything
            the listener defers — is attributed to the driver stack. *)
         if Trace.Prof.enabled () then
@@ -572,7 +564,7 @@ let rec pv_write ?owner t frame =
           end;
           done_p)
     in
-    if Trace.Prof.enabled () then Trace.Prof.with_frame "netif" send else send ()
+    Trace.Prof.with_frame "netif" send
   end
 
 let write ?owner t frame =

@@ -37,18 +37,22 @@ let prng t = t.prng
    continuations still land on the layer that caused them. Exposed so
    the timer wheel can capture ambients at arm time the way [at] does. *)
 let wrap_ambient f =
-  let f =
-    if Trace.enabled () then begin
-      let fl = Trace.Flow.current () in
-      if fl >= 0 then fun () -> Trace.Flow.wrap fl f else f
+  let planes = Trace.planes () in
+  if planes land (Trace.plane_trace lor Trace.plane_prof) = 0 then f
+  else begin
+    let f =
+      if planes land Trace.plane_trace <> 0 then begin
+        let fl = Trace.Flow.current () in
+        if fl >= 0 then fun () -> Trace.Flow.wrap fl f else f
+      end
+      else f
+    in
+    if planes land Trace.plane_prof <> 0 then begin
+      let node = Trace.Prof.current_node () in
+      if not (Trace.Prof.is_root node) then fun () -> Trace.Prof.wrap node f else f
     end
     else f
-  in
-  if Trace.Prof.enabled () then begin
-    let node = Trace.Prof.current_node () in
-    if not (Trace.Prof.is_root node) then fun () -> Trace.Prof.wrap node f else f
   end
-  else f
 
 let at_raw t ~time f = Eventq.push t.q ~time:(max time t.now) f
 let at t ~time f = at_raw t ~time (wrap_ambient f)
@@ -95,13 +99,17 @@ let step t =
   | None -> false
   | Some (time, action) ->
     t.now <- max t.now time;
-    if Trace.enabled () then begin
-      Trace.incr c_dispatch;
-      Trace.emit ~cat:Trace.Sched
-        ~payload:[ ("pending", Trace.Int (Eventq.length t.q)) ]
-        "sim.dispatch"
+    let planes = Trace.planes () in
+    if planes <> 0 then begin
+      if planes land Trace.plane_trace <> 0 then begin
+        Trace.incr c_dispatch;
+        Trace.emit ~cat:Trace.Sched
+          ~payload:[ ("pending", Trace.Int (Eventq.length t.q)) ]
+          "sim.dispatch"
+      end;
+      if planes land Trace.plane_flight <> 0 then
+        Trace.Flight.watermark "sim.pending" (Eventq.length t.q)
     end;
-    if Trace.Flight.enabled () then Trace.Flight.watermark "sim.pending" (Eventq.length t.q);
     action ();
     true
 

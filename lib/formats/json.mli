@@ -13,6 +13,11 @@ exception Parse_error of int * string  (** position, message *)
 val parse : string -> t
 val to_string : t -> string
 
+(** [escape s] is [s] ready to sit between the quotes of a JSON string:
+    quote, backslash and control characters escaped. The one JSON string
+    escaper in the tree; every JSON writer uses it. *)
+val escape : string -> string
+
 (** Pretty-printed with two-space indentation. *)
 val to_string_pretty : t -> string
 

@@ -86,13 +86,13 @@ let parse_exposition text =
         let value_part = String.sub line (sp + 1) (String.length line - sp - 1) in
         match float_of_string_opt value_part with
         | None -> None
-        | Some v ->
-          let key =
-            match String.index_opt name_part '{' with
-            | None -> name_part
-            | Some lb ->
+        | Some v -> (
+          match String.index_opt name_part '{' with
+          | None -> Some (name_part, v)
+          | Some lb -> (
+            match String.rindex_opt name_part '}' with
+            | Some rb when rb > lb ->
               let base = String.sub name_part 0 lb in
-              let rb = try String.rindex name_part '}' with Not_found -> String.length name_part - 1 in
               let labels = String.sub name_part (lb + 1) (rb - lb - 1) in
               let kept =
                 String.split_on_char ',' labels
@@ -100,10 +100,9 @@ let parse_exposition text =
                        l <> ""
                        && not (String.length l >= 4 && String.sub l 0 4 = "dom="))
               in
-              if kept = [] then base
-              else Printf.sprintf "%s{%s}" base (String.concat "," kept)
-          in
-          Some (key, v))
+              if kept = [] then Some (base, v)
+              else Some (Printf.sprintf "%s{%s}" base (String.concat "," kept), v)
+            | _ -> None (* a '{' with no '}' after it: malformed *))))
   in
   String.split_on_char '\n' text |> List.filter_map parse_line
 

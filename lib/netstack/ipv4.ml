@@ -60,12 +60,10 @@ let create sim eth arp cfg =
           if for_us then
             match Hashtbl.find_opt t.handlers proto with
             | Some f ->
-              if Trace.Prof.enabled () || Trace.Dpath.enabled () then
+              if Trace.planes () land (Trace.plane_prof lor Trace.plane_dpath) <> 0 then
                 Trace.Prof.with_frame "ip" (fun () ->
-                    if Trace.Dpath.enabled () then
-                      Trace.Dpath.measure Trace.Dpath.Ip ~vcpu_ns:0 (fun () ->
-                          f ~src ~dst ~payload:body)
-                    else f ~src ~dst ~payload:body)
+                    Trace.Dpath.measure Trace.Dpath.Ip ~vcpu_ns:0 (fun () ->
+                        f ~src ~dst ~payload:body))
               else f ~src ~dst ~payload:body
             | None -> ()
         end

@@ -213,7 +213,7 @@ let send_segment t ~key ~seq ~ack ~flags ~options ~window ~payload =
       Mthread.Promise.async (fun () ->
           Mthread.Promise.bind (Xensim.Domain.charge d ~cost) (fun () -> emit ()))
     in
-    if Trace.Prof.enabled () then Trace.Prof.with_frame "tcp" send else send ()
+    Trace.Prof.with_frame "tcp" send
 
 let send_rst_for t ~key ~seq ~ack =
   send_segment t ~key ~seq ~ack
@@ -1197,11 +1197,7 @@ let handle_datagram t ~src ~dst ~payload =
       in
       (* Datapath hop: the deferred segment processing runs top-of-stack,
          so its allocation region nests nothing but [deliver_rx]. *)
-      let process () =
-        if Trace.Dpath.enabled () then
-          Trace.Dpath.measure Trace.Dpath.Tcp ~vcpu_ns:cost process
-        else process ()
-      in
+      let process () = Trace.Dpath.measure Trace.Dpath.Tcp ~vcpu_ns:cost process in
       let charge () =
         if Trace.enabled () then begin
           let queued = Engine.Sim.now t.sim in
@@ -1215,7 +1211,7 @@ let handle_datagram t ~src ~dst ~payload =
         end
         else Xensim.Domain.charge_k d ~cost process
       in
-      if Trace.Prof.enabled () then Trace.Prof.with_frame "tcp" charge else charge ())
+      Trace.Prof.with_frame "tcp" charge)
 
 let create sim ?dom ip =
   let t =

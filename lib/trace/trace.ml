@@ -182,7 +182,7 @@ type span = {
 }
 
 type state = {
-  mutable on : bool;
+  mutable planes : int;  (* the plane switch word, see [planes] below *)
   mutable ring : event array;
   mutable head : int;  (* next write position *)
   mutable length : int;
@@ -214,7 +214,7 @@ let dummy_event =
 
 let t =
   {
-    on = false;
+    planes = 0;
     ring = [||];
     head = 0;
     length = 0;
@@ -231,7 +231,23 @@ let t =
     spans = Hashtbl.create 32;
   }
 
-let enabled () = t.on
+(* ---- plane switches ----
+
+   Every observability plane (the event tracer, the metrics registry,
+   the profiler, datapath accounting, the flight recorder) keeps its
+   on/off state as one bit of [t.planes]. A site that consults several
+   planes loads the word once and, with everything off, pays one branch
+   however many planes it serves. *)
+
+let plane_trace = 1
+let plane_metrics = 2
+let plane_prof = 4
+let plane_dpath = 8
+let plane_flight = 16
+let planes () = t.planes
+let plane_on bit = t.planes land bit <> 0
+let switch bit on = t.planes <- (if on then t.planes lor bit else t.planes land lnot bit)
+let enabled () = plane_on plane_trace
 
 let enable ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Trace.enable: capacity must be positive";
@@ -241,9 +257,9 @@ let enable ?(capacity = default_capacity) () =
     t.length <- 0;
     t.dropped <- 0
   end;
-  t.on <- true
+  switch plane_trace true
 
-let disable () = t.on <- false
+let disable () = switch plane_trace false
 
 let reset () =
   Array.fill t.ring 0 (Array.length t.ring) dummy_event;
@@ -288,7 +304,7 @@ let record ?(dom = -1) ?(payload = []) ~cat ~phase name =
   t.seq <- seq + 1;
   push { seq; time = now (); dom; cat; name; phase; depth = t.depth; flow = t.cur_flow; payload }
 
-let emit ?dom ?payload ~cat name = if t.on then record ?dom ?payload ~cat ~phase:Instant name
+let emit ?dom ?payload ~cat name = if enabled () then record ?dom ?payload ~cat ~phase:Instant name
 
 let events () =
   let cap = Array.length t.ring in
@@ -309,7 +325,7 @@ module Flow = struct
     t.next_flow <- id + 1;
     let prev = t.cur_flow in
     t.cur_flow <- id;
-    if t.on then record ?dom ~cat:Sched ~phase:Instant "flow.begin";
+    if enabled () then record ?dom ~cat:Sched ~phase:Instant "flow.begin";
     t.cur_flow <- prev;
     id
 
@@ -338,7 +354,7 @@ let counter name =
     c
 
 let add c n =
-  if t.on && n > 0 then
+  if enabled () && n > 0 then
     (* Saturate instead of wrapping negative on overflow. *)
     c.c_value <- (if c.c_value > max_int - n then max_int else c.c_value + n)
 
@@ -364,8 +380,8 @@ let gauge name =
     Hashtbl.replace t.gauges name g;
     g
 
-let gauge_set g v = if t.on then g.g_value <- v
-let gauge_add g d = if t.on then g.g_value <- g.g_value + d
+let gauge_set g v = if enabled () then g.g_value <- v
+let gauge_add g d = if enabled () then g.g_value <- g.g_value + d
 let gauge_value g = g.g_value
 
 let gauges () =
@@ -389,7 +405,7 @@ let dead_span =
   { sp_live = false; sp_name = ""; sp_cat = Sched; sp_dom = -1; sp_start = 0; sp_closed = true }
 
 let span ?(dom = -1) ?payload ~cat name =
-  if not t.on then dead_span
+  if not (enabled ()) then dead_span
   else begin
     record ~dom ?payload ~cat ~phase:Begin name;
     t.depth <- t.depth + 1;
@@ -399,7 +415,7 @@ let span ?(dom = -1) ?payload ~cat name =
 let finish ?(payload = []) sp =
   if sp.sp_live && not sp.sp_closed then begin
     sp.sp_closed <- true;
-    if t.on then begin
+    if enabled () then begin
       let dur = max 0 (now () - sp.sp_start) in
       span_record (span_acc ~cat:sp.sp_cat ~dom:sp.sp_dom sp.sp_name) dur;
       if t.depth > 0 then t.depth <- t.depth - 1;
@@ -410,14 +426,14 @@ let finish ?(payload = []) sp =
   end
 
 let record_span_ns ?(dom = -1) ?(payload = []) ~cat name dur =
-  if t.on then begin
+  if enabled () then begin
     let dur = max 0 dur in
     span_record (span_acc ~cat ~dom name) dur;
     record ~dom ~payload:(("dur_ns", Int dur) :: payload) ~cat ~phase:End name
   end
 
 let sample ?(dom = -1) ~cat name v =
-  if t.on then span_record (span_acc ~cat ~dom name) (max 0 v)
+  if enabled () then span_record (span_acc ~cat ~dom name) (max 0 v)
 
 let span_stats () =
   Hashtbl.fold
@@ -438,39 +454,38 @@ let span_stats () =
 
 (* ---- export ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Formats.Json
 
 let value_to_json = function
   | Int i -> string_of_int i
   | Float f -> Printf.sprintf "%.17g" f
-  | String s -> "\"" ^ json_escape s ^ "\""
+  | String s -> "\"" ^ Json.escape s ^ "\""
   | Bool b -> string_of_bool b
 
 let payload_to_json payload =
   "{"
-  ^ String.concat "," (List.map (fun (k, v) -> "\"" ^ json_escape k ^ "\":" ^ value_to_json v) payload)
+  ^ String.concat ","
+      (List.map (fun (k, v) -> "\"" ^ Json.escape k ^ "\":" ^ value_to_json v) payload)
   ^ "}"
 
 let phase_letter = function Instant -> "I" | Begin -> "B" | End -> "E"
 
+(* The one printer for event-shaped lines (trace events, flight-recorder
+   notes): [t], [dom], [cat], [name] and [args], with [head] rendered
+   before [t] and [mid] between [name] and [args]. *)
+let event_json ?(head = "") ?(mid = "") ~time ~dom ~cat ~name payload =
+  Printf.sprintf "{%s\"t\":%d,\"dom\":%d,\"cat\":\"%s\",\"name\":\"%s\"%s,\"args\":%s}" head
+    time dom
+    (Json.escape (category_name cat))
+    (Json.escape name) mid (payload_to_json payload)
+
 let to_json_line (ev : event) =
-  Printf.sprintf
-    "{\"seq\":%d,\"t\":%d,\"dom\":%d,\"cat\":\"%s\",\"name\":\"%s\",\"ph\":\"%s\",\"depth\":%d,\"flow\":%d,\"args\":%s}"
-    ev.seq ev.time ev.dom
-    (json_escape (category_name ev.cat))
-    (json_escape ev.name) (phase_letter ev.phase) ev.depth ev.flow (payload_to_json ev.payload)
+  event_json
+    ~head:(Printf.sprintf "\"seq\":%d," ev.seq)
+    ~mid:
+      (Printf.sprintf ",\"ph\":\"%s\",\"depth\":%d,\"flow\":%d" (phase_letter ev.phase) ev.depth
+         ev.flow)
+    ~time:ev.time ~dom:ev.dom ~cat:ev.cat ~name:ev.name ev.payload
 
 let export_jsonl oc =
   List.iter
@@ -479,17 +494,17 @@ let export_jsonl oc =
       output_char oc '\n')
     (events ());
   List.iter
-    (fun (name, v) -> Printf.fprintf oc "{\"counter\":\"%s\",\"value\":%d}\n" (json_escape name) v)
+    (fun (name, v) -> Printf.fprintf oc "{\"counter\":\"%s\",\"value\":%d}\n" (Json.escape name) v)
     (counters ());
   List.iter
-    (fun (name, v) -> Printf.fprintf oc "{\"gauge\":\"%s\",\"value\":%d}\n" (json_escape name) v)
+    (fun (name, v) -> Printf.fprintf oc "{\"gauge\":\"%s\",\"value\":%d}\n" (Json.escape name) v)
     (gauges ());
   List.iter
     (fun s ->
       Printf.fprintf oc
         "{\"span\":\"%s\",\"cat\":\"%s\",\"dom\":%d,\"count\":%d,\"total_ns\":%d,\"min_ns\":%d,\"max_ns\":%d,\"p50_ns\":%.1f,\"p95_ns\":%.1f,\"p99_ns\":%.1f}\n"
-        (json_escape s.span_name)
-        (json_escape (category_name s.span_cat))
+        (Json.escape s.span_name)
+        (Json.escape (category_name s.span_cat))
         s.span_dom s.span_count s.span_total_ns s.span_min_ns s.span_max_ns
         (Hist.percentile s.span_hist 50.) (Hist.percentile s.span_hist 95.)
         (Hist.percentile s.span_hist 99.))
@@ -505,7 +520,7 @@ let export_jsonl oc =
    can be off while the monitoring plane is on, and vice versa.
 
    Cost discipline: with the registry disabled (the default) an update
-   site is one load and one predictable branch — the monitor-guard
+   site is one load and one predictable branch — the obs-guard
    benchmark pins that cost. Pull-based metrics ([register_read]) cost
    nothing at the update site at all: the callback reads state the
    subsystem already maintains, evaluated only at snapshot time. *)
@@ -532,11 +547,10 @@ module Metrics = struct
   }
 
   let quantiles = [ 0.5; 0.9; 0.99 ]
-  let m_on = ref false
-  let enabled () = !m_on
+  let enabled () = plane_on plane_metrics
   let registry : (string * int, metric) Hashtbl.t = Hashtbl.create 64
-  let enable () = m_on := true
-  let disable () = m_on := false
+  let enable () = switch plane_metrics true
+  let disable () = switch plane_metrics false
   let reset () = Hashtbl.reset registry
 
   (* Registration is itself gated: with the plane off, subsystem create
@@ -545,7 +559,7 @@ module Metrics = struct
      metric is then detached — updates to it are no-ops. *)
   let register ?(dom = -1) ~kind ?read ?hist name =
     let m = { m_name = name; m_dom = dom; m_kind = kind; m_value = 0; m_read = read; m_hist = hist } in
-    if !m_on then Hashtbl.replace registry (name, dom) m;
+    if enabled () then Hashtbl.replace registry (name, dom) m;
     m
 
   let counter ?dom name = register ?dom ~kind:Counter name
@@ -553,11 +567,8 @@ module Metrics = struct
   let summary ?dom name = register ?dom ~kind:Summary ~hist:(Hist.create ()) name
   let register_read ?dom ~kind name read = ignore (register ?dom ~kind ~read name)
 
-  (* Domain teardown: drop every series the domain registered, so read
-     callbacks (which capture device and stack state) do not pin a
-     destroyed domain's world.  Cost is one pass over the registry —
-     which holds live domains' series only, precisely because destroy
-     calls this. *)
+  (* One pass over the registry, which holds live domains' series only,
+     precisely because domain teardown calls this. *)
   let unregister_dom dom =
     let doomed =
       Hashtbl.fold (fun ((_, d) as k) _ acc -> if d = dom then k :: acc else acc) registry []
@@ -571,14 +582,14 @@ module Metrics = struct
     { m_name = ""; m_dom = -1; m_kind = Counter; m_value = 0; m_read = None; m_hist = None }
 
   let inc m n =
-    if !m_on && n > 0 then
+    if enabled () && n > 0 then
       m.m_value <- (if m.m_value > max_int - n then max_int else m.m_value + n)
 
-  let set m v = if !m_on then m.m_value <- v
-  let add m d = if !m_on then m.m_value <- m.m_value + d
+  let set m v = if enabled () then m.m_value <- v
+  let add m d = if enabled () then m.m_value <- m.m_value + d
 
   let observe m v =
-    if !m_on then match m.m_hist with Some h -> Hist.record h (max 0 v) | None -> ()
+    if enabled () then match m.m_hist with Some h -> Hist.record h (max 0 v) | None -> ()
 
   let value m = match m.m_read with Some f -> f () | None -> m.m_value
 
@@ -667,8 +678,7 @@ module Prof = struct
     p_samples : int;
   }
 
-  let p_on = ref false
-  let enabled () = !p_on
+  let enabled () = plane_on plane_prof
 
   let make_root () =
     {
@@ -681,8 +691,8 @@ module Prof = struct
 
   let root = ref (make_root ())
   let cur = ref !root
-  let enable () = p_on := true
-  let disable () = p_on := false
+  let enable () = switch plane_prof true
+  let disable () = switch plane_prof false
 
   let reset () =
     root := make_root ();
@@ -726,7 +736,7 @@ module Prof = struct
       cur := child
 
   let with_frame name f =
-    if not !p_on then f ()
+    if not (enabled ()) then f ()
     else begin
       let prev = !cur in
       enter name;
@@ -739,7 +749,7 @@ module Prof = struct
     Fun.protect ~finally:(fun () -> cur := prev) f
 
   let account ?(dom = -1) ?(wait_ns = 0) run_ns =
-    if !p_on then begin
+    if enabled () then begin
       let node = !cur in
       let a =
         match Hashtbl.find_opt node.n_accs dom with
@@ -754,8 +764,6 @@ module Prof = struct
       a.a_samples <- a.a_samples + 1
     end
 
-  (* Domain teardown: retired domains must not leave stale series behind
-     (same discipline as [Metrics.unregister_dom]). *)
   let unregister_dom dom =
     let rec go n =
       Hashtbl.remove n.n_accs dom;
@@ -819,8 +827,7 @@ module Dpath = struct
   type hstat = { h_hop : hop; h_pkts : int; h_vcpu_ns : int; h_alloc_b : float }
   type cell = { mutable pkts : int; mutable vcpu_ns : int; mutable alloc_b : float }
 
-  let d_on = ref false
-  let enabled () = !d_on
+  let enabled () = plane_on plane_dpath
   let cells = Array.init n_hops (fun _ -> { pkts = 0; vcpu_ns = 0; alloc_b = 0. })
 
   (* The region stack is flat, preallocated, and float-unboxed so that
@@ -860,10 +867,10 @@ module Dpath = struct
       all_hops
 
   let enable () =
-    d_on := true;
+    switch plane_dpath true;
     if Metrics.enabled () then register_metrics ()
 
-  let disable () = d_on := false
+  let disable () = switch plane_dpath false
 
   (* OCaml 5.0/5.1's [Gc.allocated_bytes] folds the live minor-heap
      region into its result only around collection boundaries, so between
@@ -903,7 +910,7 @@ module Dpath = struct
     end
 
   let measure hop ?(pkts = 1) ~vcpu_ns f =
-    if not !d_on then f ()
+    if not (enabled ()) then f ()
     else begin
       enter hop;
       match f () with
@@ -932,7 +939,7 @@ let add_profile_lines b =
       Buffer.add_string b
         (Printf.sprintf
            "{\"prof\":{\"dom\":%d,\"stack\":\"%s\",\"run_ns\":%d,\"wait_ns\":%d,\"samples\":%d}}\n"
-           s.Prof.p_dom (json_escape s.Prof.p_stack) s.Prof.p_run_ns s.Prof.p_wait_ns
+           s.Prof.p_dom (Json.escape s.Prof.p_stack) s.Prof.p_run_ns s.Prof.p_wait_ns
            s.Prof.p_samples))
     (Prof.stats ());
   List.iter
@@ -969,7 +976,6 @@ module Flight = struct
   let max_bundles = 8
 
   type fstate = {
-    mutable f_on : bool;
     mutable f_cap : int;
     mutable f_dir : string option;
     rings : (int, ring) Hashtbl.t;
@@ -981,7 +987,6 @@ module Flight = struct
 
   let fs =
     {
-      f_on = false;
       f_cap = default_capacity;
       f_dir = None;
       rings = Hashtbl.create 8;
@@ -991,15 +996,15 @@ module Flight = struct
       f_seq = 0;
     }
 
-  let enabled () = fs.f_on
+  let enabled () = plane_on plane_flight
 
   let enable ?(capacity = default_capacity) ?dir () =
     if capacity <= 0 then invalid_arg "Trace.Flight.enable: capacity must be positive";
     fs.f_cap <- capacity;
     (match dir with Some _ -> fs.f_dir <- dir | None -> ());
-    fs.f_on <- true
+    switch plane_flight true
 
-  let disable () = fs.f_on <- false
+  let disable () = switch plane_flight false
 
   let reset () =
     Hashtbl.reset fs.rings;
@@ -1020,7 +1025,7 @@ module Flight = struct
       r
 
   let note ?(dom = -1) ?(payload = []) ~cat name =
-    if fs.f_on then begin
+    if enabled () then begin
       let r = ring_of dom in
       r.buf.(r.head) <-
         { fe_t = now (); fe_dom = dom; fe_cat = cat; fe_name = name; fe_payload = payload };
@@ -1029,7 +1034,7 @@ module Flight = struct
     end
 
   let watermark name v =
-    if fs.f_on then
+    if enabled () then
       match Hashtbl.find_opt fs.marks name with
       | Some m -> if v > !m then m := v
       | None -> Hashtbl.replace fs.marks name (ref v)
@@ -1045,15 +1050,10 @@ module Flight = struct
     Hashtbl.fold (fun name m acc -> (name, !m) :: acc) fs.marks []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-  (* Domain teardown: drop the retired domain's ring (postmortem-on-exit
-     trips before this runs, so a crash bundle still sees the ring). *)
   let unregister_dom dom = Hashtbl.remove fs.rings dom
 
   let fev_to_json fe =
-    Printf.sprintf "{\"t\":%d,\"dom\":%d,\"cat\":\"%s\",\"name\":\"%s\",\"args\":%s}" fe.fe_t
-      fe.fe_dom
-      (json_escape (category_name fe.fe_cat))
-      (json_escape fe.fe_name) (payload_to_json fe.fe_payload)
+    event_json ~time:fe.fe_t ~dom:fe.fe_dom ~cat:fe.fe_cat ~name:fe.fe_name fe.fe_payload
 
   let sanitize_reason s =
     String.map (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_') as c -> c | _ -> '.') s
@@ -1071,7 +1071,7 @@ module Flight = struct
     let b = Buffer.create 4096 in
     Buffer.add_string b
       (Printf.sprintf "{\"flight\":\"postmortem\",\"seq\":%d,\"reason\":\"%s\",\"dom\":%d,\"t\":%d,\"args\":%s}\n"
-         fs.f_seq (json_escape reason) dom (now ()) (payload_to_json payload));
+         fs.f_seq (Json.escape reason) dom (now ()) (payload_to_json payload));
     let evs = if dom >= 0 then recent (-1) @ recent dom else recent (-1) in
     List.iter
       (fun fe ->
@@ -1080,7 +1080,8 @@ module Flight = struct
       (List.sort (fun a b -> compare (a.fe_t, a.fe_dom) (b.fe_t, b.fe_dom)) evs);
     List.iter
       (fun (name, v) ->
-        Buffer.add_string b (Printf.sprintf "{\"watermark\":\"%s\",\"max\":%d}\n" (json_escape name) v))
+        Buffer.add_string b
+          (Printf.sprintf "{\"watermark\":\"%s\",\"max\":%d}\n" (Json.escape name) v))
       (watermarks ());
     add_profile_lines b;
     if Metrics.enabled () then begin
@@ -1092,7 +1093,7 @@ module Flight = struct
         (fun (s : Metrics.sample) ->
           Buffer.add_string b
             (Printf.sprintf "{\"metric\":\"%s\",\"dom\":%d,\"value\":%d,\"sum\":%d}\n"
-               (json_escape s.Metrics.s_name) s.Metrics.s_dom s.Metrics.s_value s.Metrics.s_sum))
+               (Json.escape s.Metrics.s_name) s.Metrics.s_dom s.Metrics.s_value s.Metrics.s_sum))
         samples
     end;
     (match !capture_hook with
@@ -1103,7 +1104,7 @@ module Flight = struct
     Buffer.contents b
 
   let trip ?(dom = -1) ?(payload = []) ~reason () =
-    if fs.f_on then begin
+    if enabled () then begin
       fs.f_seq <- fs.f_seq + 1;
       fs.f_trips <- fs.f_trips + 1;
       let name = Printf.sprintf "flight-%04d-%s.jsonl" fs.f_seq (sanitize_reason reason) in
@@ -1117,7 +1118,7 @@ module Flight = struct
           close_out oc
         with Sys_error _ -> ())
       | None -> ());
-      if t.on then
+      if plane_on plane_trace then
         record ~dom
           ~payload:(("reason", String reason) :: payload)
           ~cat:(User "flight") ~phase:Instant "flight.trip"
@@ -1127,3 +1128,12 @@ module Flight = struct
   let bundles () = List.rev fs.f_bundles
   let last_bundle () = match fs.f_bundles with [] -> None | hd :: _ -> Some hd
 end
+
+(* Domain teardown, for every plane at once: a retired domain's metric
+   series (whose read callbacks capture its devices and stack), profiler
+   rows and flight ring must not outlive it. Postmortem-on-exit trips run
+   before this, so a crash bundle still sees the ring. *)
+let unregister_dom dom =
+  Metrics.unregister_dom dom;
+  Prof.unregister_dom dom;
+  Flight.unregister_dom dom

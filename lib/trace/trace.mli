@@ -8,8 +8,9 @@
     called; with tracing off every instrumentation site costs a single
     branch (guard payload construction with {!enabled} at call sites).
 
-    The library is dependency-free so it can sit below the simulation
-    engine in the build graph; the engine installs its virtual clock via
+    The library depends only on [formats] (itself dependency-free, for
+    its JSON string escaper) so it can sit below the simulation engine
+    in the build graph; the engine installs its virtual clock via
     {!set_clock} and renders summaries (see [Engine.Trace_report]). *)
 
 (** Event categories mirror the subsystems of the simulated stack. *)
@@ -85,8 +86,30 @@ module Hist : sig
   val buckets : t -> (int * int * int) list
 end
 
+(** {1 Plane switches}
+
+    Every observability plane in this library — the event tracer, the
+    metrics registry ({!Metrics}), the profiler ({!Prof}), datapath
+    accounting ({!Dpath}) and the flight recorder ({!Flight}) — keeps
+    its on/off state as one bit of a single word. Each plane's
+    [enabled]/[enable]/[disable] reads or flips only its own bit, and no
+    plane's [reset] touches the word. A site that consults several
+    planes reads {!planes} once and tests bits of the result, so with
+    every plane off it pays one load and one branch. *)
+
+(** The switch word: the [plane_*] bits of every plane currently on,
+    [0] when all are off. *)
+val planes : unit -> int
+
+val plane_trace : int
+val plane_metrics : int
+val plane_prof : int
+val plane_dpath : int
+val plane_flight : int
+
 (** {1 Lifecycle} *)
 
+(** The event tracer's bit of {!planes}. *)
 val enabled : unit -> bool
 
 (** [enable ()] turns tracing on. [capacity] bounds the event ring
@@ -290,11 +313,6 @@ module Metrics : sig
       cost for stats the subsystem already maintains. *)
   val register_read : ?dom:int -> kind:kind -> string -> (unit -> int) -> unit
 
-  (** [unregister_dom dom] drops every series registered under [dom].
-      Called from domain teardown so read callbacks do not pin a
-      destroyed domain's devices and stack. *)
-  val unregister_dom : int -> unit
-
   (** A metric attached to nothing: every update is a no-op. Lets a
       subsystem keep one unconditional update site while opting out of
       registration. *)
@@ -379,9 +397,6 @@ module Prof : sig
   (** [account ~dom ~wait_ns run_ns] attributes one vCPU charge to the
       ambient stack. Called from the vCPU accounting chokepoint. *)
   val account : ?dom:int -> ?wait_ns:int -> int -> unit
-
-  (** Drop the domain's series from every frame (domain teardown). *)
-  val unregister_dom : int -> unit
 
   (** All non-empty (stack, dom) accumulators, sorted by (stack, dom).
       Deterministic for deterministic runs. *)
@@ -499,10 +514,6 @@ module Flight : sig
 
   val last_bundle : unit -> (string * string) option
 
-  (** Drop the domain's ring (domain teardown; postmortem-on-exit trips
-      before this). *)
-  val unregister_dom : int -> unit
-
   (** Install (or remove, with [None]) the wire-capture hook: called
       while building each {!trip} bundle with the trip's context, it
       returns extra bundle lines — the capture plane ([Netsim.Capture])
@@ -510,3 +521,12 @@ module Flight : sig
       flow into the postmortem. Returning [""] appends nothing. *)
   val set_capture_hook : (dom:int -> reason:string -> payload:payload -> string) option -> unit
 end
+
+(** {1 Domain teardown} *)
+
+(** [unregister_dom dom] drops everything every plane keeps for [dom]:
+    its {!Metrics} series (whose read callbacks would otherwise pin a
+    destroyed domain's devices and stack), its {!Prof} rows and its
+    {!Flight} ring. Called once from domain teardown, after any
+    postmortem-on-exit trip. *)
+val unregister_dom : int -> unit

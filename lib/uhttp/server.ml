@@ -101,7 +101,7 @@ module Make (T : Device_sig.TCP) = struct
             in
             (* The [app] frame covers the request charge and everything the
                handler defers, via the scheduler's frame capture. *)
-            if Trace.Prof.enabled () then Trace.Prof.with_frame "app" respond else respond ())
+            Trace.Prof.with_frame "app" respond)
         (function
           | Http_wire.Bad_request _ ->
             t.bad <- t.bad + 1;

@@ -6,10 +6,11 @@
    The committed golden_trace.jsonl, golden_profile.jsonl and
    golden_profile_b.jsonl are this program's output (the B profile is a
    second run with more requests and no ping — the `profile diff`
-   input). The CLI renderings (waterfall/flame/queues for `trace`,
-   profile_top/profile_folded/profile_diff for `profile`) are diffed by
-   `dune runtest`; if a schema or an analysis changes legitimately,
-   regenerate with
+   input). `dune runtest` re-runs this program and diffs the trace it
+   writes against golden_trace.jsonl, and diffs the CLI renderings
+   (waterfall/flame/queues for `trace`, profile_top/profile_folded/
+   profile_diff for `profile`); if a schema or an analysis changes
+   legitimately, regenerate with
 
      dune exec test/golden/gen_golden.exe -- test/golden/golden_trace.jsonl \
        test/golden/golden_profile.jsonl test/golden/golden_profile_b.jsonl

@@ -105,6 +105,56 @@ let fuzz_ssh prng =
   | _ -> ()
   | exception Ssh.Ssh_wire.Decode_error _ -> ()
 
+(* ---- observability-plane parsers ---- *)
+
+(* Exposition text arrives from another domain over the simulated
+   network, so the scraper must shrug off any corruption of it. Flips
+   draw from the format's own syntax characters, so mutations land on
+   braces, separators and numbers rather than mostly on name bytes. *)
+let exposition =
+  lazy
+    (Trace.Metrics.enable ();
+     Fun.protect
+       ~finally:(fun () ->
+         Trace.Metrics.disable ();
+         Trace.Metrics.reset ())
+       (fun () ->
+         Trace.Metrics.inc (Trace.Metrics.counter ~dom:3 "http_requests") 41;
+         Trace.Metrics.set (Trace.Metrics.gauge "ring_occupancy") 7;
+         let s = Trace.Metrics.summary ~dom:3 "http_request_ns" in
+         List.iter (Trace.Metrics.observe s) [ 120; 4000; 95_000 ];
+         Trace.Metrics.to_text ()))
+
+let exposition_syntax = "{}=,\" .0123456789e-\n#x"
+
+let fuzz_exposition prng =
+  let b = Bytes.of_string (Lazy.force exposition) in
+  for _ = 1 to 1 + Engine.Prng.int prng 8 do
+    Bytes.set b
+      (Engine.Prng.int prng (Bytes.length b))
+      exposition_syntax.[Engine.Prng.int prng (String.length exposition_syntax)]
+  done;
+  ignore (Monitor.parse_exposition (mutate prng (Bytes.to_string b)))
+
+let filter_tokens =
+  [| "tcp"; "udp"; "icmp"; "ip"; "arp"; "src"; "dst"; "host"; "port"; "flag"; "syn"; "ack";
+     "fin"; "rst"; "psh"; "urg"; "and"; "or"; "not"; "("; ")"; "10.0.0.2"; "1.2.3"; "80";
+     "65536"; "-1"; "x" |]
+
+let fuzz_capture_filter prng =
+  let n = Engine.Prng.int prng 13 in
+  let s =
+    String.concat " "
+      (List.init n (fun _ -> filter_tokens.(Engine.Prng.int prng (Array.length filter_tokens))))
+  in
+  match Netsim.Capture.parse_filter s with Ok _ | Error _ -> ()
+
+let golden_pcap =
+  lazy (In_channel.with_open_bin "golden/capture.pcap" In_channel.input_all)
+
+let fuzz_pcap prng =
+  match Formats.Pcap.parse (mutate prng (Lazy.force golden_pcap)) with Ok _ | Error _ -> ()
+
 (* ---- live-stack bombardment ---- *)
 
 let test_stack_survives_garbage_frames () =
@@ -203,6 +253,9 @@ let () =
           survives "xml parser survives random bytes" fuzz_xml;
           survives "zone parser survives random bytes" fuzz_zone;
           survives "ssh decode survives random bytes" fuzz_ssh;
+          survives "exposition parser survives mutated metrics text" fuzz_exposition;
+          survives "capture filter parser survives random tokens" fuzz_capture_filter;
+          survives "pcap parser survives mutated golden capture" fuzz_pcap;
         ] );
       ( "live stack",
         [

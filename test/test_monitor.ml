@@ -224,6 +224,17 @@ let test_deterministic_replay () =
   let b = fingerprint (scenario ~seed:7 ~flap:true ()) in
   check_bool "same seed, same scrape series and alert timeline" true (a = b)
 
+(* A '{' with no '}' after it used to raise out of the parser; such
+   lines are malformed and dropped like any other, and well-formed
+   neighbours still parse. *)
+let test_exposition_unbalanced_braces () =
+  let parsed =
+    Monitor.parse_exposition
+      "x{ 1\na}b{c 1\nok{dom=\"1\",quantile=\"0.5\"} 2\nlabel{a=1 3\nplain 4\n"
+  in
+  check_bool "only the balanced lines survive" true
+    (parsed = [ ("ok{quantile=\"0.5\"}", 2.); ("plain", 4.) ])
+
 let () =
   Alcotest.run "monitor"
     [
@@ -235,5 +246,7 @@ let () =
           Alcotest.test_case "goodput SLO fires under link flap" `Quick
             test_goodput_slo_fires_under_flap;
           Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
+          Alcotest.test_case "exposition drops unbalanced braces" `Quick
+            test_exposition_unbalanced_braces;
         ] );
     ]

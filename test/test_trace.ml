@@ -259,6 +259,127 @@ let test_metrics_disabled_and_detached () =
       check_int "detached never registers" 0 (List.length (Trace.Metrics.snapshot ()));
       check_string "detached never exported" "" (Trace.Metrics.to_text ()))
 
+(* ---- plane switches ----
+
+   The five planes share one switch word. Flipping one plane, or
+   resetting one plane's data, must leave every other plane exactly as
+   it was — the independence the old per-plane booleans had for free. *)
+
+type plane = {
+  pl_name : string;
+  pl_on : unit -> bool;
+  pl_enable : unit -> unit;
+  pl_disable : unit -> unit;
+  pl_reset : unit -> unit;
+  pl_fill : unit -> unit;  (* record one datum in this plane *)
+  pl_has_data : unit -> bool;
+}
+
+let plane_counter = Trace.counter "planes.test"
+
+let all_planes =
+  [
+    {
+      pl_name = "trace";
+      pl_on = Trace.enabled;
+      pl_enable = (fun () -> Trace.enable ());
+      pl_disable = Trace.disable;
+      pl_reset = Trace.reset;
+      pl_fill = (fun () -> Trace.incr plane_counter);
+      pl_has_data = (fun () -> Trace.counter_value plane_counter > 0);
+    };
+    {
+      pl_name = "metrics";
+      pl_on = Trace.Metrics.enabled;
+      pl_enable = Trace.Metrics.enable;
+      pl_disable = Trace.Metrics.disable;
+      pl_reset = Trace.Metrics.reset;
+      pl_fill =
+        (fun () ->
+          Trace.Metrics.register_read ~kind:Trace.Metrics.Gauge "planes_test" (fun () -> 7));
+      pl_has_data =
+        (fun () ->
+          List.exists
+            (fun (s : Trace.Metrics.sample) -> s.Trace.Metrics.s_name = "planes_test")
+            (Trace.Metrics.snapshot ()));
+    };
+    {
+      pl_name = "prof";
+      pl_on = Trace.Prof.enabled;
+      pl_enable = Trace.Prof.enable;
+      pl_disable = Trace.Prof.disable;
+      pl_reset = Trace.Prof.reset;
+      pl_fill = (fun () -> Trace.Prof.account ~dom:9 5);
+      pl_has_data = (fun () -> Trace.Prof.stats () <> []);
+    };
+    {
+      pl_name = "dpath";
+      pl_on = Trace.Dpath.enabled;
+      pl_enable = Trace.Dpath.enable;
+      pl_disable = Trace.Dpath.disable;
+      pl_reset = Trace.Dpath.reset;
+      pl_fill = (fun () -> Trace.Dpath.measure Trace.Dpath.Ip ~vcpu_ns:1 (fun () -> ()));
+      pl_has_data = (fun () -> Trace.Dpath.stats () <> []);
+    };
+    {
+      pl_name = "flight";
+      pl_on = Trace.Flight.enabled;
+      pl_enable = (fun () -> Trace.Flight.enable ());
+      pl_disable = Trace.Flight.disable;
+      pl_reset = Trace.Flight.reset;
+      pl_fill = (fun () -> Trace.Flight.note ~dom:9 ~cat:Trace.Net "planes.test");
+      pl_has_data = (fun () -> Trace.Flight.recent 9 <> []);
+    };
+  ]
+
+let test_plane_independence () =
+  let check_states what want =
+    List.iter2
+      (fun p on -> check_bool (Printf.sprintf "%s: %s enabled" what p.pl_name) on (p.pl_on ()))
+      all_planes want
+  in
+  let reset_all () = List.iter (fun p -> p.pl_reset ()) all_planes in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> p.pl_disable ()) all_planes;
+      reset_all ())
+    (fun () ->
+      check_states "initially" (List.map (fun _ -> false) all_planes);
+      check_int "switch word starts clear" 0 (Trace.planes ());
+      (* one plane on at a time: only its own bit moves, and resets
+         never touch the switches *)
+      List.iter
+        (fun p ->
+          p.pl_enable ();
+          let want = List.map (fun q -> q == p) all_planes in
+          check_states ("only " ^ p.pl_name ^ " on") want;
+          reset_all ();
+          check_states ("after resets, only " ^ p.pl_name ^ " on") want;
+          p.pl_disable ();
+          check_int ("switch word clear after " ^ p.pl_name) 0 (Trace.planes ()))
+        all_planes;
+      (* all on: turning one off leaves the other four on *)
+      List.iter (fun p -> p.pl_enable ()) all_planes;
+      List.iter
+        (fun p ->
+          p.pl_disable ();
+          check_states ("all but " ^ p.pl_name) (List.map (fun q -> q != p) all_planes);
+          p.pl_enable ())
+        all_planes;
+      (* resetting one plane's data leaves the other planes' data *)
+      List.iter
+        (fun p ->
+          List.iter (fun q -> q.pl_fill ()) all_planes;
+          p.pl_reset ();
+          List.iter
+            (fun q ->
+              check_bool
+                (Printf.sprintf "%s data after %s reset" q.pl_name p.pl_name)
+                (q != p) (q.pl_has_data ()))
+            all_planes;
+          reset_all ())
+        all_planes)
+
 (* ---- disabled tracing ---- *)
 
 let test_disabled_noop () =
@@ -495,7 +616,7 @@ let test_prof_unregister () =
       Trace.Prof.with_frame "netif" (fun () ->
           Trace.Prof.account ~dom:1 10;
           Trace.Prof.account ~dom:2 20);
-      Trace.Prof.unregister_dom 1;
+      Trace.unregister_dom 1;
       check_bool "dom 1 series dropped" true (find_stat ~dom:1 ~stack:"engine;netif" = None);
       match find_stat ~dom:2 ~stack:"engine;netif" with
       | Some s -> check_int "dom 2 series survives" 20 s.Trace.Prof.p_run_ns
@@ -559,6 +680,8 @@ let () =
           Alcotest.test_case "metrics registry + exposition" `Quick test_metrics_registry;
           Alcotest.test_case "metrics disabled / detached no-ops" `Quick
             test_metrics_disabled_and_detached;
+          Alcotest.test_case "planes switch and reset independently" `Quick
+            test_plane_independence;
           Alcotest.test_case "disabled tracing is a no-op" `Quick test_disabled_noop;
           Alcotest.test_case "deterministic jsonl" `Quick test_deterministic_jsonl;
           Alcotest.test_case "appliance boot trace" `Quick test_appliance_boot_trace;

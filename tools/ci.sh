@@ -6,11 +6,15 @@
 #
 # Stages:
 #   1. dune build           — the tree compiles
-#   2. dune runtest         — unit/golden tests plus the trace, monitor,
-#                             profiler and capture guards (disabled-site
-#                             budgets, figure-8 invariance)
-#   3. tools/check_fmt.sh   — dune + ocamlformat formatting gate
-#   4. tools/bench_gate.sh  — fresh `bench --out` run of the deterministic
+#   2. dune runtest         — unit/golden tests plus `bench obs-guard`
+#                             (every disabled probe site against its
+#                             budget, figure-8 invariance with all
+#                             observability planes on at once)
+#   3. bench obs-planes     — figure-8 invariance one observability plane
+#                             at a time (metrics, prof, dpath, flight,
+#                             capture), so a difference names its plane
+#   4. tools/check_fmt.sh   — dune + ocamlformat formatting gate
+#   5. tools/bench_gate.sh  — fresh `bench --out` run of the deterministic
 #                             virtual-time experiments (dpath, bootstorm,
 #                             capture) against the committed BENCH_micro.json
 #                             snapshot; every gated metric prints its
@@ -23,6 +27,9 @@ dune build
 
 echo "== ci: dune runtest =="
 dune runtest
+
+echo "== ci: observability planes, one at a time =="
+dune exec bench/main.exe -- obs-planes
 
 echo "== ci: formatting =="
 tools/check_fmt.sh
