@@ -18,6 +18,9 @@ module Net = struct
   module Loadgen = Lb.Loadgen.Make (Netstack.Device.Tcp)
   module Orchestrator = Orchestrator.Make (Netstack.Device.Tcp)
   module Lb = Lb.Balancer.Make (Netstack.Device.Tcp)
+  module Ssh = Ssh.Session.Make (Netstack.Device.Tcp)
+  module Xmpp = Xmpp.Make (Netstack.Device.Tcp)
+  module Memcache = Storage.Memcache.Make (Netstack.Device.Tcp)
 end
 
 module Host = struct
@@ -32,4 +35,7 @@ module Host = struct
   module Loadgen = Lb.Loadgen.Make (Hostnet.Device.Tcp)
   module Orchestrator = Orchestrator.Make (Hostnet.Device.Tcp)
   module Lb = Lb.Balancer.Make (Hostnet.Device.Tcp)
+  module Ssh = Ssh.Session.Make (Hostnet.Device.Tcp)
+  module Xmpp = Xmpp.Make (Hostnet.Device.Tcp)
+  module Memcache = Storage.Memcache.Make (Hostnet.Device.Tcp)
 end

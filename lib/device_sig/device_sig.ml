@@ -1,11 +1,14 @@
 (* Device signatures (paper §3, Fig. 2): the module types that separate
    application libraries from the device backends they run on. Protocol
-   servers (`Uhttp.Server`, `Dns.Server`, `Smtp`, `Baseline.Appliances`)
-   are functors over these signatures; the configure step — `Unikernel.target`
-   via `Core.Appliance`/`Core.Apps` — picks the implementation: the
-   type-safe unikernel netstack over a PV ring or tuntap device, or the
-   `Hostnet` shim that models host-kernel sockets for the POSIX developer
-   targets. Application code is identical at every target. *)
+   libraries (`Uhttp.Server`/`Client`/`Httperf`, `Dns.Server`, `Smtp`,
+   `Ssh.Transport`/`Session`, `Xmpp`, `Storage.Memcache`,
+   `Baseline.Appliances`, `Monitor`, `Lb.Balancer`/`Loadgen`,
+   `Orchestrator`) are functors over these signatures; the configure
+   step — `Unikernel.target` via `Core.Appliance`/`Core.Apps` — picks
+   the implementation: the type-safe unikernel netstack over a PV ring
+   or tuntap device, or the `Hostnet` shim that models host-kernel
+   sockets for the POSIX developer targets. Application code is
+   identical at every target. *)
 
 (* Canonical connection exceptions. Backends raise these (the netstack
    rebinds its historical exceptions to them), so functor bodies can match
@@ -96,9 +99,9 @@ end
 
 (** Buffered reading over any {!FLOW}: lines and counted blocks. The
     channel-iteratee bridge between packet streams and typed protocol
-    streams (paper §3.5) that the HTTP, SMTP and memcache parsers share.
-    Backend-agnostic: [create] closes over the flow's [read], so one
-    reader implementation serves every transport. *)
+    streams (paper §3.5) that the HTTP, SMTP, SSH, XMPP and memcache
+    parsers share. Backend-agnostic: [create] closes over the flow's
+    [read], so one reader implementation serves every transport. *)
 module Reader : sig
   type t
 

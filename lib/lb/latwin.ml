@@ -47,8 +47,6 @@ let in_window t =
   done;
   !out
 
-let samples t = List.length (in_window t)
-
 (* Nearest-rank percentile over the live window; [None] when empty. *)
 let quantile t q =
   match in_window t with

@@ -168,33 +168,35 @@ let seal ~cipher ~mac_key ~seq payload =
   in
   body ^ mac
 
+let decrypt cipher s = match cipher with Some c -> c s | None -> s
+let mac_size mac_key = match mac_key with Some _ -> mac_len | None -> 0
+
+(* With our length-preserving stream cipher the length field decrypts on
+   its own, so the reader can size the packet from its first 4 bytes. *)
+let packet_size ~cipher ~mac_key head =
+  let head = decrypt cipher head in
+  let len =
+    (Char.code head.[0] lsl 24) lor (Char.code head.[1] lsl 16)
+    lor (Char.code head.[2] lsl 8) lor Char.code head.[3]
+  in
+  if len < 2 || len > 1 lsl 20 then raise (Decode_error "bad packet length");
+  4 + len + mac_size mac_key
+
 let unseal ~cipher ~mac_key ~seq buf =
   if String.length buf < 5 then None
   else begin
-    (* With our length-preserving stream cipher we can decrypt the whole
-       available prefix to read the length field. *)
-    let decrypt s = match cipher with Some c -> c s | None -> s in
-    let head = decrypt (String.sub buf 0 (min (String.length buf) 4)) in
-    if String.length head < 4 then None
+    let total = packet_size ~cipher ~mac_key (String.sub buf 0 4) in
+    if String.length buf < total then None
     else begin
-      let len =
-        (Char.code head.[0] lsl 24) lor (Char.code head.[1] lsl 16)
-        lor (Char.code head.[2] lsl 8) lor Char.code head.[3]
-      in
-      if len < 2 || len > 1 lsl 20 then raise (Decode_error "bad packet length");
-      let maclen = match mac_key with Some _ -> mac_len | None -> 0 in
-      let total = 4 + len + maclen in
-      if String.length buf < total then None
-      else begin
-        let plain = decrypt (String.sub buf 0 (4 + len)) in
-        (match mac_key with
-        | Some key ->
-          let expect = Crypto.Sha256.hmac ~key (u32 seq ^ plain) in
-          if String.sub buf (4 + len) mac_len <> expect then raise (Decode_error "bad MAC")
-        | None -> ());
-        let pad = Char.code plain.[4] in
-        if pad + 1 > len then raise (Decode_error "bad padding");
-        Some (String.sub plain 5 (len - 1 - pad), total)
-      end
+      let len = total - 4 - mac_size mac_key in
+      let plain = decrypt cipher (String.sub buf 0 (4 + len)) in
+      (match mac_key with
+      | Some key ->
+        let expect = Crypto.Sha256.hmac ~key (u32 seq ^ plain) in
+        if String.sub buf (4 + len) mac_len <> expect then raise (Decode_error "bad MAC")
+      | None -> ());
+      let pad = Char.code plain.[4] in
+      if pad + 1 > len then raise (Decode_error "bad padding");
+      Some (String.sub plain 5 (len - 1 - pad), total)
     end
   end

@@ -37,6 +37,11 @@ val decode_msg : string -> msg
 val seal :
   cipher:(string -> string) option -> mac_key:string option -> seq:int -> string -> string
 
+(** [packet_size ~cipher ~mac_key head] is the total size of the packet
+    (length field, body and MAC) whose first 4 bytes are [head].
+    @raise Decode_error when the length field is out of range. *)
+val packet_size : cipher:(string -> string) option -> mac_key:string option -> string -> int
+
 (** Incremental unseal from a buffer: [None] when more bytes are needed.
     Returns the payload and the bytes consumed.
     @raise Decode_error on MAC failure or bad framing. *)

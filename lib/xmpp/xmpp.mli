@@ -1,6 +1,7 @@
 (** A minimal XMPP-style instant-messaging layer (Table 1 "XMPP"): stream
     setup, message stanzas, presence-based routing and offline storage,
-    over the {!Formats.Xml} substrate.
+    over the {!Formats.Xml} substrate, as a functor over any
+    {!Device_sig.TCP} transport.
 
     Divergence from RFC 6120: stanzas are framed as newline-delimited
     complete XML documents rather than children of one long-lived stream
@@ -10,35 +11,38 @@
 
 type message = { from_jid : string; to_jid : string; body : string }
 
-module Server : sig
-  type t
+(** The server refused or garbled the stream handshake. *)
+exception Stream_error of string
 
-  val create : Netstack.Tcp.t -> port:int -> domain:string -> unit -> t
+module Make (T : Device_sig.TCP) : sig
+  module Server : sig
+    type t
 
-  (** Messages routed so far (delivered live or queued offline). *)
-  val routed : t -> int
+    val create : T.t -> port:int -> domain:string -> unit -> t
 
-  (** Currently connected bare JIDs. *)
-  val online : t -> string list
+    (** Messages routed so far (delivered live or queued offline). *)
+    val routed : t -> int
 
-  (** Stanzas refused (bad addressing / parse errors). *)
-  val errors : t -> int
-end
+    (** Currently connected bare JIDs. *)
+    val online : t -> string list
 
-module Client : sig
-  type t
+    (** Stanzas refused (bad addressing / parse errors). *)
+    val errors : t -> int
+  end
 
-  exception Stream_error of string
+  module Client : sig
+    type t
 
-  (** [connect tcp ~dst ~port ~jid ()] opens the stream and announces
-      presence; queued offline messages are delivered immediately. *)
-  val connect :
-    Netstack.Tcp.t -> dst:Netstack.Ipaddr.t -> ?port:int -> jid:string -> unit -> t Mthread.Promise.t
+    (** [connect tcp ~dst ~port ~jid ()] opens the stream and announces
+        presence; queued offline messages are delivered immediately.
+        Fails with {!Stream_error} when the server refuses the stream. *)
+    val connect : T.t -> dst:T.ipaddr -> ?port:int -> jid:string -> unit -> t Mthread.Promise.t
 
-  val send : t -> to_jid:string -> body:string -> unit Mthread.Promise.t
+    val send : t -> to_jid:string -> body:string -> unit Mthread.Promise.t
 
-  (** Next incoming message ([None] when the stream closes). *)
-  val receive : t -> message option Mthread.Promise.t
+    (** Next incoming message ([None] when the stream closes). *)
+    val receive : t -> message option Mthread.Promise.t
 
-  val close : t -> unit Mthread.Promise.t
+    val close : t -> unit Mthread.Promise.t
+  end
 end

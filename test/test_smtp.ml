@@ -56,9 +56,9 @@ let test_sequencing_errors () =
     Netstack.Tcp.connect (Netstack.Stack.tcp client.stack)
       ~dst:(Netstack.Stack.address server.stack) ~dst_port:25
     >>= fun flow ->
-    let reader = Netstack.Flow_reader.create flow in
+    let reader = tcp_reader flow in
     let line () =
-      Netstack.Flow_reader.line reader >>= function
+      Device_sig.Reader.line reader >>= function
       | Some l -> P.return l
       | None -> P.fail Exit
     in

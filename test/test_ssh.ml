@@ -79,44 +79,44 @@ let ssh_world () =
 let host_secret = "very secret host key material"
 
 let start_server w (server : host) =
-  Ssh.Session.Server.create w.sim (Netstack.Stack.tcp server.stack) ~port:22 ~host_secret
+  Core.Apps.Net.Ssh.Server.create w.sim (Netstack.Stack.tcp server.stack) ~port:22 ~host_secret
     (fun command -> P.return ("ran: " ^ command))
 
 let test_exec_end_to_end () =
   let w, server, client = ssh_world () in
   let srv = start_server w server in
   let session =
-    Ssh.Session.Client.connect w.sim (Netstack.Stack.tcp client.stack)
+    Core.Apps.Net.Ssh.Client.connect w.sim (Netstack.Stack.tcp client.stack)
       ~dst:(Netstack.Stack.address server.stack) ()
     >>= fun c ->
-    Ssh.Session.Client.exec c "uptime" >>= fun out1 ->
-    Ssh.Session.Client.exec c "whoami" >>= fun out2 ->
-    Ssh.Session.Client.close c >>= fun () -> P.return (out1, out2)
+    Core.Apps.Net.Ssh.Client.exec c "uptime" >>= fun out1 ->
+    Core.Apps.Net.Ssh.Client.exec c "whoami" >>= fun out2 ->
+    Core.Apps.Net.Ssh.Client.close c >>= fun () -> P.return (out1, out2)
   in
   let out1, out2 = run w session in
   check_string "first command" "ran: uptime" out1;
   check_string "second command (same connection)" "ran: whoami" out2;
-  check_int "one session" 1 (Ssh.Session.Server.sessions srv);
-  check_int "two commands" 2 (Ssh.Session.Server.commands_run srv)
+  check_int "one session" 1 (Core.Apps.Net.Ssh.Server.sessions srv);
+  check_int "two commands" 2 (Core.Apps.Net.Ssh.Server.commands_run srv)
 
 let test_host_key_pinning () =
   let w, server, client = ssh_world () in
   ignore (start_server w server);
-  let good = Ssh.Session.Server.public_host_key ~host_secret in
+  let good = Ssh.Session.public_host_key ~host_secret in
   let session =
-    Ssh.Session.Client.connect w.sim (Netstack.Stack.tcp client.stack)
+    Core.Apps.Net.Ssh.Client.connect w.sim (Netstack.Stack.tcp client.stack)
       ~dst:(Netstack.Stack.address server.stack) ~known_host_key:good ()
     >>= fun c ->
     check_string "observed key matches pin" (Crypto.Sha256.hex good)
-      (Crypto.Sha256.hex (Ssh.Session.Client.host_key c));
-    Ssh.Session.Client.close c
+      (Crypto.Sha256.hex (Core.Apps.Net.Ssh.Client.host_key c));
+    Core.Apps.Net.Ssh.Client.close c
   in
   run w session;
   (* wrong pin -> rejected *)
   let bad = Crypto.Sha256.digest "impostor" in
   match
     run w
-      (Ssh.Session.Client.connect w.sim (Netstack.Stack.tcp client.stack)
+      (Core.Apps.Net.Ssh.Client.connect w.sim (Netstack.Stack.tcp client.stack)
          ~dst:(Netstack.Stack.address server.stack) ~known_host_key:bad ())
   with
   | exception Ssh.Transport.Host_key_mismatch -> ()
@@ -131,10 +131,10 @@ let test_traffic_is_encrypted () =
   @@ Netsim.Bridge.tap w.bridge (fun ~dir ~link:_ ~time_ns:_ frame ->
       if dir = Netsim.Tx then Buffer.add_string wire (Bytestruct.to_string frame));
   run w
-    (Ssh.Session.Client.connect w.sim (Netstack.Stack.tcp client.stack)
+    (Core.Apps.Net.Ssh.Client.connect w.sim (Netstack.Stack.tcp client.stack)
        ~dst:(Netstack.Stack.address server.stack) ()
      >>= fun c ->
-     Ssh.Session.Client.exec c secret_cmd >>= fun _ -> Ssh.Session.Client.close c);
+     Core.Apps.Net.Ssh.Client.exec c secret_cmd >>= fun _ -> Core.Apps.Net.Ssh.Client.close c);
   let hay = Buffer.contents wire in
   let contains needle =
     let n = String.length needle and h = String.length hay in
@@ -148,15 +148,15 @@ let test_multiple_clients () =
   let w, server, client = ssh_world () in
   let srv = start_server w server in
   let one i =
-    Ssh.Session.Client.connect w.sim (Netstack.Stack.tcp client.stack)
+    Core.Apps.Net.Ssh.Client.connect w.sim (Netstack.Stack.tcp client.stack)
       ~dst:(Netstack.Stack.address server.stack) ()
     >>= fun c ->
-    Ssh.Session.Client.exec c (Printf.sprintf "job-%d" i) >>= fun out ->
-    Ssh.Session.Client.close c >>= fun () -> P.return out
+    Core.Apps.Net.Ssh.Client.exec c (Printf.sprintf "job-%d" i) >>= fun out ->
+    Core.Apps.Net.Ssh.Client.close c >>= fun () -> P.return out
   in
   let outs = run w (P.all (List.init 5 one)) in
   List.iteri (fun i out -> check_string "each job" (Printf.sprintf "ran: job-%d" i) out) outs;
-  check_int "five sessions" 5 (Ssh.Session.Server.sessions srv)
+  check_int "five sessions" 5 (Core.Apps.Net.Ssh.Server.sessions srv)
 
 let () =
   Alcotest.run "ssh"

@@ -304,18 +304,18 @@ let test_memcache_end_to_end () =
   let w = make_world () in
   let server = make_host w ~platform:Platform.xen_extent ~name:"mc" ~ip:"10.0.0.1" () in
   let client = make_host w ~platform:Platform.linux_pv ~name:"cl" ~ip:"10.0.0.2" () in
-  let srv = Storage.Memcache.Server.create (Netstack.Stack.tcp server.stack) ~port:11211 in
+  let srv = Core.Apps.Net.Memcache.Server.create (Netstack.Stack.tcp server.stack) ~port:11211 in
   let session =
-    Storage.Memcache.Client.connect (Netstack.Stack.tcp client.stack)
+    Core.Apps.Net.Memcache.Client.connect (Netstack.Stack.tcp client.stack)
       ~dst:(Netstack.Stack.address server.stack) ~port:11211
     >>= fun c ->
-    Storage.Memcache.Client.set c ~key:"greeting" ~value:"hello memcache" >>= fun () ->
-    Storage.Memcache.Client.get c "greeting" >>= fun v1 ->
-    Storage.Memcache.Client.get c "missing" >>= fun v2 ->
-    Storage.Memcache.Client.delete c "greeting" >>= fun deleted ->
-    Storage.Memcache.Client.delete c "greeting" >>= fun deleted_again ->
-    Storage.Memcache.Client.stats c >>= fun stats ->
-    Storage.Memcache.Client.close c >>= fun () ->
+    Core.Apps.Net.Memcache.Client.set c ~key:"greeting" ~value:"hello memcache" >>= fun () ->
+    Core.Apps.Net.Memcache.Client.get c "greeting" >>= fun v1 ->
+    Core.Apps.Net.Memcache.Client.get c "missing" >>= fun v2 ->
+    Core.Apps.Net.Memcache.Client.delete c "greeting" >>= fun deleted ->
+    Core.Apps.Net.Memcache.Client.delete c "greeting" >>= fun deleted_again ->
+    Core.Apps.Net.Memcache.Client.stats c >>= fun stats ->
+    Core.Apps.Net.Memcache.Client.close c >>= fun () ->
     P.return (v1, v2, deleted, deleted_again, stats)
   in
   let v1, v2, deleted, deleted_again, stats = run w session in
@@ -324,20 +324,20 @@ let test_memcache_end_to_end () =
   check_bool "delete" true deleted;
   check_bool "second delete" false deleted_again;
   check_bool "stats has cmd_get" true (List.mem_assoc "cmd_get" stats);
-  check_int "server counted gets" 2 (Storage.Memcache.Server.gets srv)
+  check_int "server counted gets" 2 (Core.Apps.Net.Memcache.Server.gets srv)
 
 let test_memcache_binary_safe_values () =
   let w = make_world () in
   let server = make_host w ~platform:Platform.xen_extent ~name:"mc2" ~ip:"10.0.0.1" () in
   let client = make_host w ~platform:Platform.linux_pv ~name:"cl2" ~ip:"10.0.0.2" () in
-  ignore (Storage.Memcache.Server.create (Netstack.Stack.tcp server.stack) ~port:11211);
+  ignore (Core.Apps.Net.Memcache.Server.create (Netstack.Stack.tcp server.stack) ~port:11211);
   let payload = pattern 2000 in
   let session =
-    Storage.Memcache.Client.connect (Netstack.Stack.tcp client.stack)
+    Core.Apps.Net.Memcache.Client.connect (Netstack.Stack.tcp client.stack)
       ~dst:(Netstack.Stack.address server.stack) ~port:11211
     >>= fun c ->
-    Storage.Memcache.Client.set c ~key:"bin" ~value:payload >>= fun () ->
-    Storage.Memcache.Client.get c "bin"
+    Core.Apps.Net.Memcache.Client.set c ~key:"bin" ~value:payload >>= fun () ->
+    Core.Apps.Net.Memcache.Client.get c "bin"
   in
   check_bool "binary value roundtrip" true (run w session = Some payload)
 
@@ -345,17 +345,40 @@ let test_memcache_garbage_command () =
   let w = make_world () in
   let server = make_host w ~platform:Platform.xen_extent ~name:"mc3" ~ip:"10.0.0.1" () in
   let client = make_host w ~platform:Platform.linux_pv ~name:"cl3" ~ip:"10.0.0.2" () in
-  ignore (Storage.Memcache.Server.create (Netstack.Stack.tcp server.stack) ~port:11211);
+  ignore (Core.Apps.Net.Memcache.Server.create (Netstack.Stack.tcp server.stack) ~port:11211);
   let reply =
     run w
       (Netstack.Tcp.connect (Netstack.Stack.tcp client.stack)
          ~dst:(Netstack.Stack.address server.stack) ~dst_port:11211
        >>= fun flow ->
        Netstack.Tcp.write flow (bs "frobnicate all the things\r\n") >>= fun () ->
-       let reader = Netstack.Flow_reader.create flow in
-       Netstack.Flow_reader.line reader)
+       Device_sig.Reader.line (tcp_reader flow))
   in
   check_bool "ERROR reply" true (reply = Some "ERROR")
+
+(* A remote set with a length outside [0, 1 MiB] is refused with
+   CLIENT_ERROR, and the connection keeps serving. *)
+let test_memcache_bad_length () =
+  let w = make_world () in
+  let server = make_host w ~platform:Platform.xen_extent ~name:"mc4" ~ip:"10.0.0.1" () in
+  let client = make_host w ~platform:Platform.linux_pv ~name:"cl4" ~ip:"10.0.0.2" () in
+  let srv = Core.Apps.Net.Memcache.Server.create (Netstack.Stack.tcp server.stack) ~port:11211 in
+  let replies =
+    run w
+      (Netstack.Tcp.connect (Netstack.Stack.tcp client.stack)
+         ~dst:(Netstack.Stack.address server.stack) ~dst_port:11211
+       >>= fun flow ->
+       let reader = tcp_reader flow in
+       let ask cmd = Netstack.Tcp.write flow (bs cmd) >>= fun () -> Device_sig.Reader.line reader in
+       ask "set k 0 0 -5\r\n" >>= fun negative ->
+       ask (Printf.sprintf "set k 0 0 %d\r\n" ((1 lsl 20) + 1)) >>= fun huge ->
+       ask "set k 0 0 2\r\nok\r\n" >>= fun stored -> P.return [ negative; huge; stored ])
+  in
+  Alcotest.(check (list (option string)))
+    "replies"
+    [ Some "CLIENT_ERROR bad data chunk"; Some "CLIENT_ERROR bad data chunk"; Some "STORED" ]
+    replies;
+  check_int "only the valid set stored" 1 (Core.Apps.Net.Memcache.Server.sets srv)
 
 let () =
   Alcotest.run "storage"
@@ -398,5 +421,6 @@ let () =
           Alcotest.test_case "end to end" `Quick test_memcache_end_to_end;
           Alcotest.test_case "binary values" `Quick test_memcache_binary_safe_values;
           Alcotest.test_case "garbage command" `Quick test_memcache_garbage_command;
+          Alcotest.test_case "bad set length" `Quick test_memcache_bad_length;
         ] );
     ]

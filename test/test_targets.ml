@@ -131,6 +131,125 @@ let http_run target =
   in
   run w (go [] http_script)
 
+(* ---- TCP appliances: a raw-TCP client on an external PV host ---- *)
+
+(* Start a TCP service on the appliance's transport for its target:
+   host-kernel sockets on Posix_sockets, the netstack otherwise. *)
+let serve_tcp ~net ~host n =
+  match Core.Appliance.hostnet n with
+  | Some h -> host h
+  | None -> net (Netstack.Stack.tcp (Core.Appliance.stack n))
+
+(* Boot the appliance running [serve w], then run [session w tcp dst]
+   from an external client host. *)
+let tcp_run target ~serve session =
+  let w = make_world () in
+  let ts = Xensim.Toolstack.create w.hv in
+  let _networked =
+    boot_appliance w ts ~target ~config:(Core.Appliance.web_server ()) ~serve:(serve w)
+  in
+  let client = make_host w ~platform:Platform.linux_native ~name:"client" ~ip:"10.0.0.9" () in
+  run w (session w (Netstack.Stack.tcp client.stack) (Netstack.Ipaddr.of_string appliance_ip))
+
+let open_conn tcp dst ~port =
+  Netstack.Tcp.connect tcp ~dst ~dst_port:port >>= fun flow -> P.return (flow, tcp_reader flow)
+
+(* Write [bytes] on [flow], then read [n] reply lines from [reader],
+   CRLF-joined, with the virtual time the exchange took. *)
+let exchange w flow bytes reader n =
+  let sent = Engine.Sim.now w.sim in
+  let rec lines acc = function
+    | 0 -> P.return (String.concat "\r\n" (List.rev acc), Engine.Sim.now w.sim - sent)
+    | k -> (
+      Device_sig.Reader.line reader >>= function
+      | Some l -> lines (l :: acc) (k - 1)
+      | None -> P.fail (Failure "connection closed mid-reply"))
+  in
+  Netstack.Tcp.write flow (bs bytes) >>= fun () -> lines [] n
+
+(* ---- memcache: scripted text-protocol session, (command, reply lines) ---- *)
+
+let memcache_script =
+  [
+    ("set greeting 0 0 5\r\nhello\r\n", 1);
+    ("get greeting\r\n", 3);
+    ("get missing\r\n", 1);
+    ("delete greeting\r\n", 1);
+    ("delete greeting\r\n", 1);
+    ("stats\r\n", 6);
+    ("frobnicate all the things\r\n", 1);
+  ]
+
+let memcache_run target =
+  tcp_run target
+    ~serve:(fun _ ->
+      serve_tcp
+        ~net:(fun tcp -> ignore (Core.Apps.Net.Memcache.Server.create tcp ~port:11211))
+        ~host:(fun h -> ignore (Core.Apps.Host.Memcache.Server.create h ~port:11211)))
+    (fun w tcp dst ->
+      open_conn tcp dst ~port:11211 >>= fun (flow, reader) ->
+      let rec go acc = function
+        | [] -> P.return (List.rev acc)
+        | (cmd, n) :: rest -> exchange w flow cmd reader n >>= fun r -> go (r :: acc) rest
+      in
+      go [] memcache_script)
+
+(* ---- XMPP: stream, offline queueing, live routing, a refused stream ---- *)
+
+let stanza el = Formats.Xml.to_string el ^ "\n"
+
+let stream ?(domain = "example.org") jid =
+  stanza (Formats.Xml.Element ("stream", [ ("from", jid); ("to", domain) ], []))
+
+let message to_jid body =
+  let body = Formats.Xml.Element ("body", [], [ Formats.Xml.Text body ]) in
+  stanza (Formats.Xml.Element ("message", [ ("to", to_jid) ], [ body ]))
+
+let xmpp_run target =
+  let domain = "example.org" in
+  tcp_run target
+    ~serve:(fun _ ->
+      serve_tcp
+        ~net:(fun tcp -> ignore (Core.Apps.Net.Xmpp.Server.create tcp ~port:5222 ~domain ()))
+        ~host:(fun h -> ignore (Core.Apps.Host.Xmpp.Server.create h ~port:5222 ~domain ())))
+    (fun w tcp dst ->
+      let conn () = open_conn tcp dst ~port:5222 in
+      conn () >>= fun (alice, alice_r) ->
+      exchange w alice (stream "alice@example.org") alice_r 1 >>= fun r1 ->
+      (* bob is offline: the message queues, and bob's stream flushes it;
+         the TCP handshake orders bob's stream after alice's message *)
+      Netstack.Tcp.write alice (bs (message "bob@example.org" "queued")) >>= fun () ->
+      conn () >>= fun (bob, bob_r) ->
+      exchange w bob (stream "bob@example.org") bob_r 2 >>= fun r2 ->
+      exchange w bob (message "alice@example.org" "live") alice_r 1 >>= fun r3 ->
+      conn () >>= fun (mallory, mallory_r) ->
+      exchange w mallory (stream ~domain:"evil.net" "mallory@evil.net") mallory_r 1 >>= fun r4 ->
+      P.return [ r1; r2; r3; r4 ])
+
+(* ---- SSH: command output (the wire bytes follow each run's PRNG draws) ---- *)
+
+let ssh_commands = [ "uptime"; "whoami" ]
+
+let ssh_run target =
+  let host_secret = "target-independent host key" in
+  let handler command = P.return ("ran: " ^ command) in
+  tcp_run target
+    ~serve:(fun w ->
+      serve_tcp
+        ~net:(fun tcp ->
+          ignore (Core.Apps.Net.Ssh.Server.create w.sim tcp ~port:22 ~host_secret handler))
+        ~host:(fun h ->
+          ignore (Core.Apps.Host.Ssh.Server.create w.sim h ~port:22 ~host_secret handler)))
+    (fun w tcp dst ->
+      Core.Apps.Net.Ssh.Client.connect w.sim tcp ~dst
+        ~known_host_key:(Ssh.Session.public_host_key ~host_secret) ()
+      >>= fun c ->
+      let rec go acc = function
+        | [] -> Core.Apps.Net.Ssh.Client.close c >>= fun () -> P.return (List.rev acc)
+        | cmd :: rest -> Core.Apps.Net.Ssh.Client.exec c cmd >>= fun out -> go (out :: acc) rest
+      in
+      go [] ssh_commands)
+
 (* ---- the equivalence assertions ---- *)
 
 let check_equivalent what runs =
@@ -171,6 +290,21 @@ let test_dns_equivalence () =
 
 let test_http_equivalence () =
   check_equivalent "http" (List.map (fun (name, t) -> (name, http_run t)) (all_targets ()))
+
+let test_memcache_equivalence () =
+  check_equivalent "memcache" (List.map (fun (name, t) -> (name, memcache_run t)) (all_targets ()))
+
+let test_xmpp_equivalence () =
+  check_equivalent "xmpp" (List.map (fun (name, t) -> (name, xmpp_run t)) (all_targets ()))
+
+let test_ssh_same_output () =
+  List.iter
+    (fun (name, t) ->
+      Alcotest.(check (list string))
+        (name ^ ": ssh exec output")
+        (List.map (fun c -> "ran: " ^ c) ssh_commands)
+        (ssh_run t))
+    (all_targets ())
 
 (* ---- per-target library closures (Table 2 becomes target-dependent) ---- *)
 
@@ -220,6 +354,10 @@ let () =
         [
           Alcotest.test_case "dns answers are target-independent" `Quick test_dns_equivalence;
           Alcotest.test_case "http responses are target-independent" `Quick test_http_equivalence;
+          Alcotest.test_case "memcache replies are target-independent" `Quick
+            test_memcache_equivalence;
+          Alcotest.test_case "xmpp stanzas are target-independent" `Quick test_xmpp_equivalence;
+          Alcotest.test_case "ssh exec output is target-independent" `Quick test_ssh_same_output;
           Alcotest.test_case "library closures swap backends" `Quick test_closures_swap_backends;
           Alcotest.test_case "verify rejects netstack on posix-sockets" `Quick
             test_verify_rejects_netstack_on_sockets;

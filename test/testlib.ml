@@ -65,6 +65,9 @@ let run w p = Mthread.Promise.run w.sim p
 
 let bs = Bytestruct.of_string
 
+(* Buffered line/block reader over a raw netstack TCP flow. *)
+let tcp_reader flow = Device_sig.Reader.create ~read:(fun () -> Netstack.Tcp.read flow)
+
 (* Deterministic pseudo-random payload. *)
 let pattern n =
   String.init n (fun i -> Char.chr ((i * 131 + i / 251) land 0xff))

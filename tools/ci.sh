@@ -5,6 +5,12 @@
 #   CI_FULL=1 tools/ci.sh  also re-measures the fleet scenario (slower)
 #
 # Stages:
+#   0. transport seam       — grep: the protocol libraries (uhttp, smtp,
+#                             baseline, monitor, lb, orchestrator, ssh,
+#                             xmpp, storage/memcache) name no concrete
+#                             netstack transport (Netstack.Tcp/Udp/Stack,
+#                             Flow_reader); they reach the network only
+#                             through Device_sig functors
 #   1. dune build           — the tree compiles
 #   2. dune runtest         — unit/golden tests plus `bench obs-guard`
 #                             (every disabled probe site against its
@@ -21,6 +27,14 @@
 #                             delta even on pass
 set -eu
 cd "$(git rev-parse --show-toplevel)"
+
+echo "== ci: transport seam =="
+if grep -rnE 'Netstack\.(Tcp|Udp|Stack)|Flow_reader' \
+  lib/uhttp lib/smtp lib/baseline lib/monitor lib/lb lib/orchestrator lib/ssh lib/xmpp \
+  lib/storage/memcache.ml lib/storage/memcache.mli; then
+  echo "ci: protocol libraries must use Device_sig, not the netstack (matches above)" >&2
+  exit 1
+fi
 
 echo "== ci: dune build =="
 dune build
