@@ -12,23 +12,10 @@ module P = Mthread.Promise
 
 let ( >>= ) = P.bind
 
-let static_ip s =
-  {
-    Netstack.Ipv4.address = Netstack.Ipaddr.of_string s;
-    netmask = Netstack.Ipaddr.of_string "255.255.255.0";
-    gateway = None;
-  }
-
 let run_ss seed duration_ms loss =
   Trace.enable ();
-  let sim = Engine.Sim.create ~seed () in
-  let hv = Xensim.Hypervisor.create sim in
-  let dom0 =
-    Xensim.Hypervisor.create_domain hv ~name:"dom0" ~mem_mib:2048 ~platform:Platform.linux_pv ()
-  in
-  dom0.Xensim.Domain.state <- Xensim.Domain.Running;
-  let bridge = Netsim.Bridge.create sim in
-  let ts = Xensim.Toolstack.create hv in
+  let w = Core.World.create ~seed () in
+  let { Core.World.sim; hv; dom0; bridge; toolstack = ts } = w in
   let duration_ns = Engine.Sim.ms duration_ms in
 
   let router = Uhttp.Router.create () in
@@ -39,7 +26,7 @@ let run_ss seed duration_ms loss =
       (Core.Appliance.start hv ts
          (Core.Boot_spec.make ~backend_dom:dom0 ~bridge
             ~config:(Core.Appliance.web_server ~aslr_seed:0x55 ())
-            ~ip:(static_ip "10.0.0.10") ())
+            ~ip:(Core.World.static_ip "10.0.0.10") ())
          ~main:(fun h ->
            let stack = Core.Appliance.Handle.stack h in
            ignore
@@ -56,17 +43,8 @@ let run_ss seed duration_ms loss =
      let nic = Devices.Netif.nic (Core.Appliance.netif (Core.Appliance.Handle.networked server)) in
      Netsim.Bridge.set_loss bridge nic loss);
 
-  let client_dom =
-    Xensim.Hypervisor.create_domain hv ~name:"client" ~mem_mib:256 ~platform:Platform.xen_extent ()
-  in
-  client_dom.Xensim.Domain.state <- Xensim.Domain.Running;
-  let client_nic =
-    Netsim.Bridge.new_nic bridge ~mac:(Netsim.mac_of_int (200 + client_dom.Xensim.Domain.id)) ()
-  in
-  let client_netif = Devices.Netif.connect hv ~dom:client_dom ~backend_dom:dom0 ~nic:client_nic () in
   let client_stack =
-    P.run sim
-      (Netstack.Stack.create sim ~netif:client_netif (Netstack.Stack.Static (static_ip "10.0.0.9")))
+    (Core.World.host w ~account_cpu:false ~name:"client" ~ip:"10.0.0.9" ()).stack
   in
   let dst = Core.Appliance.Handle.address server in
   let rec http_drive () =

@@ -24,12 +24,8 @@ info    IN TXT "Mirage unikernel DNS appliance"
 |}
 
 let () =
-  let sim = Engine.Sim.create ~seed:53 () in
-  let hv = Xensim.Hypervisor.create sim in
-  let dom0 = Xensim.Hypervisor.create_domain hv ~name:"dom0" ~mem_mib:512 ~platform:Platform.linux_pv () in
-  dom0.Xensim.Domain.state <- Xensim.Domain.Running;
-  let bridge = Netsim.Bridge.create sim in
-  let toolstack = Xensim.Toolstack.create hv in
+  let w = Core.World.create ~seed:53 () in
+  let { Core.World.sim; hv; dom0; bridge; toolstack } = w in
 
   (* Parse the zone and build the authoritative database. *)
   let zone = Dns.Zone.parse ~origin:"example.org" zone_file in
@@ -40,10 +36,7 @@ let () =
 
   (* Boot the appliance. *)
   let config = Core.Appliance.dns_appliance () in
-  let ip =
-    { Netstack.Ipv4.address = Netstack.Ipaddr.of_string "10.0.0.53";
-      netmask = Netstack.Ipaddr.of_string "255.255.255.0"; gateway = None }
-  in
+  let ip = Core.World.static_ip "10.0.0.53" in
   let server_ref = ref None in
   let networked =
     P.run sim
@@ -65,16 +58,10 @@ let () =
     networked.Core.Appliance.unikernel.Core.Unikernel.sealed;
 
   (* A resolver host asks questions. *)
-  let client_dom = Xensim.Hypervisor.create_domain hv ~name:"resolver" ~mem_mib:64 ~platform:Platform.linux_native () in
-  client_dom.Xensim.Domain.state <- Xensim.Domain.Running;
-  let nic = Netsim.Bridge.new_nic bridge ~mac:(Netsim.mac_of_int 901) () in
-  let netif = Devices.Netif.connect hv ~dom:client_dom ~backend_dom:dom0 ~nic () in
   let client =
-    P.run sim
-      (Netstack.Stack.create sim ~netif
-         (Netstack.Stack.Static
-            { Netstack.Ipv4.address = Netstack.Ipaddr.of_string "10.0.0.9";
-              netmask = Netstack.Ipaddr.of_string "255.255.255.0"; gateway = None }))
+    (Core.World.host w ~platform:Platform.linux_native ~account_cpu:false ~name:"resolver"
+       ~ip:"10.0.0.9" ())
+      .stack
   in
   let server_ip = Netstack.Stack.address (Core.Appliance.stack networked) in
   let ask qname qtype =

@@ -12,11 +12,7 @@ module P = Mthread.Promise
 open P.Infix
 
 let () =
-  let sim = Engine.Sim.create ~seed:3 () in
-  let hv = Xensim.Hypervisor.create sim in
-  let dom0 = Xensim.Hypervisor.create_domain hv ~name:"dom0" ~mem_mib:512 ~platform:Platform.linux_pv () in
-  dom0.Xensim.Domain.state <- Xensim.Domain.Running;
-  let ts = Xensim.Toolstack.create hv in
+  let { Core.World.sim; hv; toolstack = ts; _ } = Core.World.create ~seed:3 () in
 
   let boot name =
     let config = Core.Config.make ~app_name:name ~roots:[ "kv" ] () in

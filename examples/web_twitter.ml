@@ -9,13 +9,9 @@ open P.Infix
 module H = Uhttp.Http_wire
 
 let () =
-  let sim = Engine.Sim.create ~seed:80 () in
-  let hv = Xensim.Hypervisor.create sim in
-  let dom0 = Xensim.Hypervisor.create_domain hv ~name:"dom0" ~mem_mib:512 ~platform:Platform.linux_pv () in
-  dom0.Xensim.Domain.state <- Xensim.Domain.Running;
-  let bridge = Netsim.Bridge.create sim in
-  let dom = Xensim.Hypervisor.create_domain hv ~name:"twitter" ~mem_mib:32 ~platform:Platform.xen_extent () in
-  dom.Xensim.Domain.state <- Xensim.Domain.Running;
+  let w = Core.World.create ~seed:80 () in
+  let { Core.World.sim; hv; dom0; _ } = w in
+  let { Core.World.dom; stack; _ } = Core.World.host w ~name:"twitter" ~ip:"10.0.0.80" () in
 
   (* Storage: a disk behind the blkif split driver, with the B-tree on top. *)
   let disk = Blockdev.Disk.create sim ~sectors:65536 () in
@@ -23,16 +19,7 @@ let () =
   let backend = Storage.Backend.of_blkif blkif in
   let store = P.run sim (Storage.Btree.create backend) in
 
-  (* Network + HTTP API. *)
-  let nic = Netsim.Bridge.new_nic bridge ~mac:(Netsim.mac_of_int 80) () in
-  let netif = Devices.Netif.connect hv ~dom ~backend_dom:dom0 ~nic () in
-  let stack =
-    P.run sim
-      (Netstack.Stack.create sim ~dom ~netif
-         (Netstack.Stack.Static
-            { Netstack.Ipv4.address = Netstack.Ipaddr.of_string "10.0.0.80";
-              netmask = Netstack.Ipaddr.of_string "255.255.255.0"; gateway = None }))
-  in
+  (* HTTP API. *)
   let seq = ref 0 in
   let router = Uhttp.Router.create () in
   Uhttp.Router.add router H.POST "/tweet/:user" (fun params req ->
@@ -56,16 +43,10 @@ let () =
   ignore (Core.Apps.Net.Http.of_router sim ~dom ~tcp:(Netstack.Stack.tcp stack) ~port:80 router);
 
   (* A client posts and reads. *)
-  let client_dom = Xensim.Hypervisor.create_domain hv ~name:"client" ~mem_mib:64 ~platform:Platform.linux_native () in
-  client_dom.Xensim.Domain.state <- Xensim.Domain.Running;
-  let cnic = Netsim.Bridge.new_nic bridge ~mac:(Netsim.mac_of_int 902) () in
-  let cnetif = Devices.Netif.connect hv ~dom:client_dom ~backend_dom:dom0 ~nic:cnic () in
   let client =
-    P.run sim
-      (Netstack.Stack.create sim ~netif:cnetif
-         (Netstack.Stack.Static
-            { Netstack.Ipv4.address = Netstack.Ipaddr.of_string "10.0.0.9";
-              netmask = Netstack.Ipaddr.of_string "255.255.255.0"; gateway = None }))
+    (Core.World.host w ~platform:Platform.linux_native ~account_cpu:false ~name:"client"
+       ~ip:"10.0.0.9" ())
+      .stack
   in
   let server_ip = Netstack.Stack.address stack in
   let session =

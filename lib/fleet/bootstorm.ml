@@ -57,14 +57,9 @@ let run ?(seed = 42) ~n () =
      scrapes here; keep the storm lean and deterministic *)
   Trace.Metrics.disable ();
   Trace.Metrics.reset ();
-  let sim = Engine.Sim.create ~seed () in
-  let hv = Xensim.Hypervisor.create sim in
-  let dom0 =
-    Xensim.Hypervisor.create_domain hv ~name:"dom0" ~mem_mib:4096 ~platform:Platform.linux_pv ()
+  let { Core.World.sim; hv; dom0; bridge; toolstack = ts } =
+    Core.World.create ~seed ~static_fdb:true ()
   in
-  dom0.Xensim.Domain.state <- Xensim.Domain.Running;
-  let bridge = Netsim.Bridge.create ~static_fdb:true sim in
-  let ts = Xensim.Toolstack.create hv in
 
   (* -- the measuring client: infinitely fast (no ~dom), quiet -- *)
   let client_dom =

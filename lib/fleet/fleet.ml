@@ -120,24 +120,11 @@ type outcome = {
   o_held_wait_max_ns : int;  (* longest park before dispatch *)
 }
 
-let static_ip s =
-  {
-    Netstack.Ipv4.address = Netstack.Ipaddr.of_string s;
-    netmask = Netstack.Ipaddr.of_string "255.255.255.0";
-    gateway = None;
-  }
-
 let run p =
   Trace.Metrics.reset ();
   Trace.Metrics.enable ();
-  let sim = Engine.Sim.create ~seed:p.seed () in
-  let hv = Xensim.Hypervisor.create sim in
-  let dom0 =
-    Xensim.Hypervisor.create_domain hv ~name:"dom0" ~mem_mib:2048 ~platform:Platform.linux_pv ()
-  in
-  dom0.Xensim.Domain.state <- Xensim.Domain.Running;
-  let bridge = Netsim.Bridge.create sim in
-  let ts = Xensim.Toolstack.create hv in
+  let w = Core.World.create ~seed:p.seed () in
+  let { Core.World.sim; hv; dom0; bridge; toolstack = ts } = w in
 
   (* -- the front door: LB appliance -- *)
   (* Forward reference broken by a ref: the balancer's on-demand hook
@@ -155,7 +142,7 @@ let run p =
       (Core.Appliance.start hv ts
          (Core.Boot_spec.make ~backend_dom:dom0 ~bridge
             ~config:(Core.Appliance.lb_appliance ())
-            ~ip:(static_ip "10.0.0.2") ~metrics_port:9100 ())
+            ~ip:(Core.World.static_ip "10.0.0.2") ~metrics_port:9100 ())
          ~main:(fun h ->
            let dom = Handle.domain h in
            let lb =
@@ -187,7 +174,7 @@ let run p =
       (Core.Appliance.start hv ts
          (Core.Boot_spec.make ~backend_dom:dom0 ~bridge
             ~config:(Core.Appliance.monitor_appliance ())
-            ~ip:(static_ip "10.0.0.100") ())
+            ~ip:(Core.World.static_ip "10.0.0.100") ())
          ~main:(fun h ->
            let dom = Handle.domain h in
            let m =
@@ -211,7 +198,7 @@ let run p =
   let shard_handles = ref [] in
   let boot_shard ~index =
     let name = Printf.sprintf "web.%d" index in
-    let ip = static_ip (Printf.sprintf "10.0.0.%d" (110 + (index mod 140))) in
+    let ip = Core.World.static_ip (Printf.sprintf "10.0.0.%d" (110 + (index mod 140))) in
     Core.Appliance.start hv ts
       (Core.Boot_spec.clone template ~name ~ip ())
       ~main:(fun h ->
@@ -257,28 +244,16 @@ let run p =
   if p.autoscale then P.async (fun () -> Apps.Orchestrator.run orch);
 
   (* -- the client population -- *)
-  let client_dom =
-    Xensim.Hypervisor.create_domain hv ~name:"clients" ~mem_mib:512 ~platform:Platform.xen_extent ()
-  in
-  client_dom.Xensim.Domain.state <- Xensim.Domain.Running;
-  let client_nic =
-    Netsim.Bridge.new_nic bridge ~mac:(Netsim.mac_of_int (100 + client_dom.Xensim.Domain.id)) ()
-  in
-  let client_netif =
-    Devices.Netif.connect hv ~dom:client_dom ~backend_dom:dom0 ~nic:client_nic ()
-  in
-  (* no ~dom: the population is an infinitely fast traffic source, not a
-     workload competing for simulated CPU *)
-  let client_stack =
-    P.run sim (Netstack.Stack.create sim ~netif:client_netif (Netstack.Stack.Static (static_ip "10.0.0.9")))
-  in
+  (* no vCPU accounting: the population is an infinitely fast traffic
+     source, not a workload competing for simulated CPU *)
+  let client = Core.World.host w ~account_cpu:false ~name:"clients" ~ip:"10.0.0.9" () in
   let t0 = Engine.Sim.now sim in
   let hold_start = p.warm_ns + p.ramp_up_ns in
   let hold_end = hold_start + p.hold_ns in
   let hold_hist = Trace.Hist.create () in
   let gen =
     Apps.Loadgen.create sim
-      ~tcp:(Netstack.Stack.tcp client_stack)
+      ~tcp:(Netstack.Stack.tcp client.stack)
       ~dst:(Handle.address lb_h) ~port:80 ~think_ns:p.think_ns
       ~on_sample:(fun ~latency_ns ->
         let offset = Engine.Sim.now sim - t0 in

@@ -165,7 +165,7 @@ let test_linker_entry_in_text () =
 
 let boot_world () =
   let w = make_world () in
-  (w, Xensim.Toolstack.create w.hv)
+  (w, w.toolstack)
 
 let test_unikernel_boot_seals_and_runs () =
   let w, ts = boot_world () in
@@ -189,7 +189,7 @@ let test_unikernel_boot_seals_and_runs () =
 
 let test_unikernel_boot_unpatched_hypervisor () =
   let w = make_world ~seal_patch:false () in
-  let ts = Xensim.Toolstack.create w.hv in
+  let ts = w.toolstack in
   let u =
     run w
       (Core.Unikernel.boot w.hv ts ~config:(Core.Appliance.dns_appliance ()) ~mem_mib:64
@@ -224,15 +224,11 @@ let test_unikernel_failing_main_exit_255 () =
 let test_networked_appliance_answers_ping () =
   let w, ts = boot_world () in
   let client = make_host w ~platform:Platform.linux_native ~name:"probe" ~ip:"10.0.0.9" () in
-  let ip_cfg =
-    { Netstack.Ipv4.address = Netstack.Ipaddr.of_string "10.0.0.53";
-      netmask = Netstack.Ipaddr.of_string "255.255.255.0"; gateway = None }
-  in
   let networked =
     run w
       (Core.Appliance.start w.hv ts
          (Core.Boot_spec.make ~backend_dom:w.dom0 ~bridge:w.bridge
-            ~config:(Core.Appliance.dns_appliance ()) ~ip:ip_cfg ())
+            ~config:(Core.Appliance.dns_appliance ()) ~ip:(static_ip "10.0.0.53") ())
          ~main:(fun _h ->
            (* appliance idles; serving happens through the stack *)
            P.sleep w.sim (Engine.Sim.sec 3600) >>= fun () -> P.return 0))

@@ -197,7 +197,7 @@ let test_console_lines () =
 
 let test_console_boot_banner () =
   let w = make_world () in
-  let ts = Xensim.Toolstack.create w.hv in
+  let ts = w.toolstack in
   let u =
     run w
       (Core.Unikernel.boot w.hv ts ~config:(Core.Appliance.dns_appliance ()) ~mem_mib:32

@@ -11,13 +11,6 @@ module P = Mthread.Promise
 let ( >>= ) = P.bind
 let appliance_ip = "10.0.0.53"
 
-let static_ip s =
-  {
-    Netstack.Ipv4.address = Netstack.Ipaddr.of_string s;
-    netmask = Netstack.Ipaddr.of_string "255.255.255.0";
-    gateway = None;
-  }
-
 let boot_appliance w ts ~target ~config ~serve =
   run w
     (Core.Appliance.start w.hv ts
@@ -41,7 +34,7 @@ let dns_script =
 
 let dns_run target =
   let w = make_world () in
-  let ts = Xensim.Toolstack.create w.hv in
+  let ts = w.toolstack in
   let db = Dns.Db.of_zone (Dns.Zone.synthesize ~origin:"example.org" ~entries:200) in
   let engine = Dns.Server.Mirage { memoize = true } in
   let _networked =
@@ -85,7 +78,7 @@ let http_script = [ "/"; "/tweets/alice"; "/tweets/bob"; "/" ]
 
 let http_run target =
   let w = make_world () in
-  let ts = Xensim.Toolstack.create w.hv in
+  let ts = w.toolstack in
   let router = Uhttp.Router.create () in
   Uhttp.Router.add router Uhttp.Http_wire.GET "/" (fun _ _ ->
       P.return (Uhttp.Http_wire.response ~status:200 "index"));
@@ -144,7 +137,7 @@ let serve_tcp ~net ~host n =
    from an external client host. *)
 let tcp_run target ~serve session =
   let w = make_world () in
-  let ts = Xensim.Toolstack.create w.hv in
+  let ts = w.toolstack in
   let _networked =
     boot_appliance w ts ~target ~config:(Core.Appliance.web_server ()) ~serve:(serve w)
   in

@@ -457,19 +457,12 @@ let test_appliance_boot_trace () =
       Trace.reset ())
     (fun () ->
       let w = make_world () in
-      let ts = Xensim.Toolstack.create w.hv in
-      let ip =
-        {
-          Netstack.Ipv4.address = Netstack.Ipaddr.of_string "10.0.0.53";
-          netmask = Netstack.Ipaddr.of_string "255.255.255.0";
-          gateway = None;
-        }
-      in
       let networked =
         run w
-          (Core.Appliance.start w.hv ts
+          (Core.Appliance.start w.hv w.toolstack
              (Core.Boot_spec.make ~backend_dom:w.dom0 ~bridge:w.bridge
-                ~config:(Core.Appliance.dns_appliance ()) ~ip ())
+                ~config:(Core.Appliance.dns_appliance ())
+                ~ip:(static_ip "10.0.0.53") ())
              ~main:(fun _ -> P.return 0))
         |> Core.Appliance.Handle.networked
       in

@@ -503,7 +503,7 @@ let test_vchan_close_eof () =
 
 let test_toolstack_sync_serialises () =
   let w = make_world () in
-  let ts = Xensim.Toolstack.create w.hv in
+  let ts = w.toolstack in
   let profile =
     { Xensim.Toolstack.kind = "test"; image_bytes = 1_000_000; kernel_init_ns = (fun ~mem_mib:_ -> 1_000_000) }
   in
@@ -516,7 +516,7 @@ let test_toolstack_sync_serialises () =
   ignore (run w both);
   let sync_elapsed = Engine.Sim.now w.sim - t0 in
   let w2 = make_world () in
-  let ts2 = Xensim.Toolstack.create w2.hv in
+  let ts2 = w2.toolstack in
   let boot2 mode name =
     Xensim.Toolstack.boot ts2 ~mode ~profile ~name ~mem_mib:128 ~platform:Platform.xen_extent
   in
