@@ -303,6 +303,8 @@ module Make (T : Device_sig.TCP) = struct
   let create sim ?(dom = -1) ?(policy = Least_conns) ?(check_interval_ns = 100_000_000)
       ?check_timeout_ns ?(healthy_after = 2) ?(unhealthy_after = 2) ?on_demand
       ?(pending_timeout_ns = 1_000_000_000) ~tcp ~port () =
+    if check_interval_ns <= 0 then
+      invalid_arg "Balancer.create: check_interval_ns must be positive";
     let check_timeout_ns =
       match check_timeout_ns with Some n -> n | None -> check_interval_ns / 2
     in

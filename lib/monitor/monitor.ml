@@ -229,6 +229,7 @@ module Make (T : Device_sig.TCP) = struct
 
   let create sim ?(dom = -1) ~tcp ?(interval_ns = 100_000_000) ?timeout_ns ?(capacity = 256)
       ?(rules = []) () =
+    if interval_ns <= 0 then invalid_arg "Monitor.create: interval_ns must be positive";
     let timeout_ns = match timeout_ns with Some n -> n | None -> interval_ns / 2 in
     let t =
       {

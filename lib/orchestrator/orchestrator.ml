@@ -91,6 +91,7 @@ module Make (T : Device_sig.TCP) = struct
        boot on demand via [cold_start]. *)
     if min_shards < 0 then invalid_arg "Orchestrator.create: min_shards must be >= 0";
     if max_shards < min_shards then invalid_arg "Orchestrator.create: max_shards < min_shards";
+    if interval_ns <= 0 then invalid_arg "Orchestrator.create: interval_ns must be positive";
     let t =
       {
         sim;
