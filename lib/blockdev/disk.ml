@@ -35,7 +35,6 @@ let create sim ?(sector_bytes = 512) ?(access_ns = 55_000) ?(bandwidth_bytes_per
 
 let sector_bytes t = t.sector_bytes
 let sectors t = t.sectors
-let capacity_bytes t = t.sector_bytes * t.sectors
 let reads_issued t = t.reads
 let writes_issued t = t.writes
 

@@ -18,7 +18,6 @@ val create :
 
 val sector_bytes : t -> int
 val sectors : t -> int
-val capacity_bytes : t -> int
 
 exception Out_of_range of string
 

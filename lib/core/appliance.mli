@@ -57,7 +57,6 @@ module Handle : sig
     | Stopped
 
   val status : t -> status
-  val status_name : status -> string
 
   (** The network plumbing: unikernel plus its network backend. *)
   val networked : t -> networked

@@ -490,8 +490,6 @@ let nic = function Pv t -> t.nic | Direct d -> d.d_nic
 let mtu _ = mtu_bytes
 let pool = function Pv t -> t.pool | Direct d -> d.d_pool
 
-let tx_doorbells () = Trace.counter_value c_doorbell
-
 (* Push whatever requests accumulated since the last doorbell and ring
    it once — the flush side of TSO-style batching. *)
 let pv_tx_flush t =

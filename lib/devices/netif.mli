@@ -86,10 +86,6 @@ val set_capture : t -> Netsim.Capture.t option -> unit
 
 val set_tx_batching : ?flush_delay_ns:int -> bool -> unit
 
-(** Process-wide count of TX doorbells rung (the [netif.tx_doorbells]
-    trace counter) — how batching is observed in tests and benches. *)
-val tx_doorbells : unit -> int
-
 (** [disconnect t] tears the device down: closes its event channels
     (freeing the port entries whose handler closures pin the device),
     revokes outstanding TX grants and posted receive credit, and stops

@@ -113,8 +113,6 @@ let cancel h =
     if h.pos >= 0 then remove h.owner h
   end
 
-let is_cancelled h = h.cancelled
-
 let pop t =
   if t.size = 0 then None
   else begin

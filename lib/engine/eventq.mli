@@ -26,8 +26,6 @@ val push : t -> time:int -> (unit -> unit) -> handle
 (** [cancel h] prevents the event from firing; idempotent. *)
 val cancel : handle -> unit
 
-val is_cancelled : handle -> bool
-
 (** Time of the earliest live event. *)
 val peek_time : t -> int option
 

@@ -86,6 +86,8 @@ let write_profile ~file =
   let oc = open_out file in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Trace.export_profile_jsonl oc)
 
+(* The table [print_profile_summary] prints; [""] when both planes are
+   empty. *)
 let profile_summary_string () =
   let stats = Trace.Prof.stats () in
   let dstats = Trace.Dpath.stats () in

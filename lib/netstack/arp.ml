@@ -145,6 +145,5 @@ let resolve t ip =
 let add_static t ~ip ~mac = learn t ip mac
 
 let cached t ip = Hashtbl.find_opt t.cache ip
-let cache_size t = Hashtbl.length t.cache
 let requests_sent t = t.requests_sent
 let replies_sent t = t.replies_sent

@@ -2,7 +2,6 @@ type t = int32
 
 let any = 0l
 let broadcast = 0xFFFFFFFFl
-let localhost = 0x7F000001l
 
 let v4 a b c d =
   List.iter

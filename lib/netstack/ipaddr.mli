@@ -4,7 +4,6 @@ type t
 
 val any : t
 val broadcast : t
-val localhost : t
 
 (** [v4 a b c d] builds [a.b.c.d]. *)
 val v4 : int -> int -> int -> int -> t

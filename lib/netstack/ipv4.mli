@@ -33,8 +33,5 @@ val output : t -> dst:Ipaddr.t -> proto:int -> Bytestruct.t list -> unit Mthread
 (** Maximum payload per datagram. *)
 val payload_mtu : t -> int
 
-val packets_sent : t -> int
-val packets_received : t -> int
-
 (** Datagrams dropped for bad header checksum / malformed header. *)
 val checksum_failures : t -> int

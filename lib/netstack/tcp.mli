@@ -108,7 +108,6 @@ val sockets : t -> sock_info list
 (** {1 Engine statistics} *)
 
 val segments_sent : t -> int
-val segments_received : t -> int
 val retransmissions : t -> int
 val fast_retransmits : t -> int
 val rto_fires : t -> int
@@ -118,5 +117,3 @@ val persist_probes : t -> int
 
 (** Out-of-order segments evicted because the reassembly list hit its cap. *)
 val ooo_evictions : t -> int
-
-val active_flows : t -> int

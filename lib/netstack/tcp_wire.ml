@@ -141,10 +141,3 @@ let decode ~src ~dst buf =
         }
     end
   end
-
-let pp_segment fmt s =
-  let flag b c = if b then c else "" in
-  Format.fprintf fmt "%d>%d seq=%a ack=%a %s%s%s%s%s win=%d len=%d" s.src_port s.dst_port Seq.pp
-    s.seq Seq.pp s.ack (flag s.flags.syn "S") (flag s.flags.ack "A") (flag s.flags.fin "F")
-    (flag s.flags.rst "R") (flag s.flags.psh "P") s.window
-    (Bytestruct.length s.payload)

@@ -48,5 +48,3 @@ val encode : src:Ipaddr.t -> dst:Ipaddr.t -> segment -> Bytestruct.t list
     Errors: [`Too_short], [`Bad_checksum]. *)
 val decode :
   src:Ipaddr.t -> dst:Ipaddr.t -> Bytestruct.t -> (segment, [ `Too_short | `Bad_checksum ]) result
-
-val pp_segment : Format.formatter -> segment -> unit

@@ -53,27 +53,6 @@ let learning_app () =
   in
   { packet_in }
 
-let blind_app () =
-  let packet_in ~dpid:_ (pi : Of_wire.packet_in) =
-    match parse_l2 pi.Of_wire.data with
-    | None -> []
-    | Some (dl_dst, dl_src) ->
-      [
-        Of_wire.Flow_mod
-          {
-            Of_wire.fm_match = Of_wire.match_l2 ~in_port:pi.Of_wire.pi_in_port ~dl_src ~dl_dst;
-            cookie = 0L;
-            command = `Add;
-            idle_timeout = 60;
-            hard_timeout = 0;
-            priority = 100;
-            buffer_id = pi.Of_wire.pi_buffer_id;
-            fm_actions = [ Of_wire.Output 1 ];
-          };
-      ]
-  in
-  { packet_in }
-
 type t = {
   sim : Engine.Sim.t;
   dom : Xensim.Domain.t option;

@@ -31,10 +31,6 @@ type app = { packet_in : dpid:int64 -> Of_wire.packet_in -> Of_wire.msg list }
     by cbench) plus a Packet_out, unknown ones a flood Packet_out. *)
 val learning_app : unit -> app
 
-(** Reply Flow_mod to every packet-in unconditionally (destiny-fast
-    semantics; maximises measurable throughput). *)
-val blind_app : unit -> app
-
 type t
 
 val create :
