@@ -11,16 +11,21 @@
 #                             netstack transport (Netstack.Tcp/Udp/Stack,
 #                             Flow_reader); they reach the network only
 #                             through Device_sig functors
-#   1. dune build           — the tree compiles
-#   2. dune runtest         — unit/golden tests plus `bench obs-guard`
+#   1. world builder        — grep: no hypervisor world (Hypervisor.create)
+#                             and no static_ip helper is defined in lib,
+#                             bin, bench, test or examples outside
+#                             lib/core/world.ml; every simulated host
+#                             comes from Core.World
+#   2. dune build           — the tree compiles
+#   3. dune runtest         — unit/golden tests plus `bench obs-guard`
 #                             (every disabled probe site against its
 #                             budget, figure-8 invariance with all
 #                             observability planes on at once)
-#   3. bench obs-planes     — figure-8 invariance one observability plane
+#   4. bench obs-planes     — figure-8 invariance one observability plane
 #                             at a time (metrics, prof, dpath, flight,
 #                             capture), so a difference names its plane
-#   4. tools/check_fmt.sh   — dune + ocamlformat formatting gate
-#   5. tools/bench_gate.sh  — fresh `bench --out` run of the deterministic
+#   5. tools/check_fmt.sh   — dune + ocamlformat formatting gate
+#   6. tools/bench_gate.sh  — fresh `bench --out` run of the deterministic
 #                             virtual-time experiments (dpath, bootstorm,
 #                             capture) against the committed BENCH_micro.json
 #                             snapshot; every gated metric prints its
@@ -33,6 +38,13 @@ if grep -rnE 'Netstack\.(Tcp|Udp|Stack)|Flow_reader' \
   lib/uhttp lib/smtp lib/baseline lib/monitor lib/lb lib/orchestrator lib/ssh lib/xmpp \
   lib/storage/memcache.ml lib/storage/memcache.mli; then
   echo "ci: protocol libraries must use Device_sig, not the netstack (matches above)" >&2
+  exit 1
+fi
+
+echo "== ci: world builder =="
+if grep -rnE 'Hypervisor\.create([^_]|$)|let static_ip' lib bin bench test examples |
+  grep -v '^lib/core/world\.ml:'; then
+  echo "ci: build simulated hosts with Core.World, not by hand (matches above)" >&2
   exit 1
 fi
 
