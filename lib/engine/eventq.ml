@@ -136,6 +136,4 @@ let length t = t.size
 
 let is_empty t = t.size = 0
 
-let physical_size t = t.size
-
 let capacity t = Array.length t.heap

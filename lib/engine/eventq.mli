@@ -32,11 +32,6 @@ val peek_time : t -> int option
 (** Pop the earliest live event, or [None] if the queue is empty. *)
 val pop : t -> (int * (unit -> unit)) option
 
-(** Entries physically present in the heap array — equals {!length}
-    now that cancellation deletes eagerly; kept for tests asserting
-    cancelled entries really leave the array. *)
-val physical_size : t -> int
-
 (** Current backing-array capacity — for tests asserting the array
     shrinks back after mass cancellation. *)
 val capacity : t -> int

@@ -34,8 +34,7 @@ let prng t = t.prng
    ambient runs under that flow, however many hops later. Only when
    tracing — with it off, [f] is returned untouched. The same trick
    applies to profiler frames, so vCPU charges made by deferred
-   continuations still land on the layer that caused them. Exposed so
-   the timer wheel can capture ambients at arm time the way [at] does. *)
+   continuations still land on the layer that caused them. *)
 let wrap_ambient f =
   let planes = Trace.planes () in
   if planes land (Trace.plane_trace lor Trace.plane_prof) = 0 then f
@@ -54,8 +53,7 @@ let wrap_ambient f =
     else f
   end
 
-let at_raw t ~time f = Eventq.push t.q ~time:(max time t.now) f
-let at t ~time f = at_raw t ~time (wrap_ambient f)
+let at t ~time f = Eventq.push t.q ~time:(max time t.now) (wrap_ambient f)
 
 let vcpu_account t ~dom ~run_ns ~wait_ns =
   let a =
