@@ -6,6 +6,7 @@
 open Cmdliner
 
 let run_fleet seed peak_rps duration_scale policy scale_to_zero trace_out =
+  let trace_dest = Cli_arg.open_dest trace_out in
   (if trace_out <> None then Trace.enable ~capacity:(1 lsl 18) () else Trace.enable ());
   let scale n = n * duration_scale / 100 in
   let d = Fleet.defaults in
@@ -78,10 +79,10 @@ let run_fleet seed peak_rps duration_scale policy scale_to_zero trace_out =
   Printf.printf "  domains    : %d left in the hypervisor table (retired shards are gone)\n"
     o.Fleet.o_domains_left;
 
-  (match trace_out with
+  (match trace_dest with
   | None -> ()
-  | Some file ->
-    Engine.Trace_report.write_jsonl ~file;
+  | Some (file, oc) ->
+    Engine.Trace_report.write_jsonl oc;
     Printf.printf "\ntrace: %s\n" file);
   Trace.Metrics.disable ();
   Trace.Metrics.reset ();

@@ -36,6 +36,7 @@ let fmt_rate v =
 (* ---- the scenario ---- *)
 
 let run_monitor seed servers duration_ms interval_ms flap trace_out =
+  let trace_dest = Cli_arg.open_dest trace_out in
   (if trace_out <> None then Trace.enable ~capacity:(1 lsl 18) () else Trace.enable ());
   Trace.Metrics.enable ();
   let w = Core.World.create ~seed () in
@@ -211,10 +212,10 @@ let run_monitor seed servers duration_ms interval_ms flap trace_out =
             a.Monitor.al_rule a.Monitor.al_target
         | None -> ())
       alerts);
-  (match trace_out with
+  (match trace_dest with
   | None -> ()
-  | Some file ->
-    Engine.Trace_report.write_jsonl ~file;
+  | Some (file, oc) ->
+    Engine.Trace_report.write_jsonl oc;
     Printf.printf "\ntrace: %s\n" file);
   Trace.Metrics.disable ();
   Trace.Metrics.reset ();

@@ -26,6 +26,8 @@ let run_pcap seed duration_ms filter_str capacity snaplen at_vif loss out =
       Printf.eprintf "pcap: bad filter %S: %s\n" filter_str e;
       exit 2
   in
+  let pcap_dest = Cli_arg.open_dest out in
+  let flows_dest = Cli_arg.open_dest (Option.map (fun file -> file ^ ".flows") out) in
   Trace.enable ();
   let w = Core.World.create ~seed () in
   let { Core.World.sim; hv; dom0; bridge; toolstack = ts } = w in
@@ -108,17 +110,15 @@ let run_pcap seed duration_ms filter_str capacity snaplen at_vif loss out =
         (if r.Netsim.Capture.r_flow < 0 then "-" else string_of_int r.Netsim.Capture.r_flow)
         r.Netsim.Capture.r_len r.Netsim.Capture.r_summary)
     (Netsim.Capture.records cap);
-  (match out with
-  | None -> ()
-  | Some file ->
-    let oc = open_out_bin file in
+  (match (pcap_dest, flows_dest) with
+  | Some (file, oc), Some (_, flows_oc) ->
     output_string oc (Netsim.Capture.to_pcap cap);
     close_out oc;
-    let oc = open_out (file ^ ".flows") in
-    output_string oc (Netsim.Capture.flows_json cap);
-    close_out oc;
+    output_string flows_oc (Netsim.Capture.flows_json cap);
+    close_out flows_oc;
     Printf.printf "\nwrote %s (libpcap, %d packets) and %s.flows (sidecar)\n" file
-      (Netsim.Capture.stored cap) file);
+      (Netsim.Capture.stored cap) file
+  | _ -> ());
   Netsim.Capture.close cap;
   Trace.disable ();
   Trace.reset ()
@@ -157,7 +157,7 @@ let cmd =
   in
   let loss =
     Arg.(
-      value & opt float 0.0
+      value & opt Cli_arg.probability 0.0
       & info [ "loss" ] ~docv:"P"
           ~doc:"Uniform loss probability on the server link (provokes retransmissions).")
   in

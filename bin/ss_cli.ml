@@ -99,7 +99,7 @@ let cmd =
   in
   let loss =
     Arg.(
-      value & opt float 0.0
+      value & opt Cli_arg.probability 0.0
       & info [ "loss" ] ~docv:"P"
           ~doc:"Uniform loss probability on the server link (makes retx move).")
   in

@@ -1,5 +1,4 @@
-let write_jsonl ~file =
-  let oc = open_out file in
+let write_jsonl oc =
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Trace.export_jsonl oc)
 
 let us ns = float_of_int ns /. 1e3
@@ -82,8 +81,7 @@ let print_summary () =
 
 (* ---- profiler ---- *)
 
-let write_profile ~file =
-  let oc = open_out file in
+let write_profile oc =
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Trace.export_profile_jsonl oc)
 
 (* The table [print_profile_summary] prints; [""] when both planes are

@@ -3,9 +3,10 @@
     per-span log-linear histograms ([Trace.Hist]), merging per-domain
     histograms into an appliance-wide row. *)
 
-(** Write every recorded event, counter and span statistic to [file] as
-    JSON lines (see [Trace.export_jsonl]). *)
-val write_jsonl : file:string -> unit
+(** Write every recorded event, counter and span statistic to [oc] as
+    JSON lines (see [Trace.export_jsonl]), then close [oc]. The CLIs open
+    it before the run, so that a bad path fails before any work. *)
+val write_jsonl : out_channel -> unit
 
 (** Multi-line summary: non-zero counters, then one row per span name
     and domain with count/mean/min/p50/p95/p99/max in microseconds
@@ -17,9 +18,10 @@ val summary_string : unit -> string
 (** Print {!summary_string} to stdout with a heading, if non-empty. *)
 val print_summary : unit -> unit
 
-(** Write the profiler and datapath tables to [file] as JSON lines (see
-    [Trace.export_profile_jsonl]) — input to [mirage_sim profile]. *)
-val write_profile : file:string -> unit
+(** Write the profiler and datapath tables to [oc] as JSON lines (see
+    [Trace.export_profile_jsonl]), then close [oc] — input to
+    [mirage_sim profile]. *)
+val write_profile : out_channel -> unit
 
 (** Print a top-style table of the profiler state to stdout under a
     heading: per-(stack, dom) vCPU time sorted by run time descending

@@ -33,6 +33,10 @@ let c_corrupt = Trace.counter "netsim.fault.corrupt"
 let c_duplicate = Trace.counter "netsim.fault.duplicate"
 let c_reorder = Trace.counter "netsim.fault.reorder"
 
+(* Written so that NaN fails the test too. *)
+let check_probability what p =
+  if not (p >= 0.0 && p <= 1.0) then invalid_arg (what ^ ": probability outside [0, 1]")
+
 module Faults = struct
   type gilbert_elliott = {
     p_good_bad : float;
@@ -43,7 +47,8 @@ module Faults = struct
   }
 
   let burst_loss ?(slot_ns = 100_000) ~avg_loss ~burst_len () =
-    if avg_loss < 0.0 || avg_loss >= 1.0 then invalid_arg "Faults.burst_loss: avg_loss in [0,1)";
+    if not (avg_loss >= 0.0 && avg_loss < 1.0) then
+      invalid_arg "Faults.burst_loss: avg_loss in [0,1)";
     let p_bad_good = 1.0 /. float_of_int (max 1 burst_len) in
     let p_good_bad = avg_loss *. p_bad_good /. (1.0 -. avg_loss) in
     { p_good_bad; p_bad_good; loss_good = 0.0; loss_bad = 1.0; slot_ns }
@@ -75,6 +80,11 @@ module Faults = struct
     let reorder_p, reorder_extra_ns =
       match reorder with None -> (0.0, 0) | Some (p, d) -> (p, max 1 d)
     in
+    let dup_p = Option.value duplicate ~default:0.0 in
+    let corrupt_p = Option.value corrupt ~default:0.0 in
+    check_probability "Faults.make: reorder" reorder_p;
+    check_probability "Faults.make: duplicate" dup_p;
+    check_probability "Faults.make: corrupt" corrupt_p;
     (match flap with
     | Some (_, down, period) when down <= 0 || period <= down ->
       invalid_arg "Faults.make: flap needs 0 < down_ns < period_ns"
@@ -83,8 +93,8 @@ module Faults = struct
       ge;
       reorder_p;
       reorder_extra_ns;
-      dup_p = Option.value duplicate ~default:0.0;
-      corrupt_p = Option.value corrupt ~default:0.0;
+      dup_p;
+      corrupt_p;
       jitter_ns = Option.value jitter_ns ~default:0;
       flap;
       drop_when;
@@ -380,6 +390,7 @@ module Bridge = struct
 
   let new_nic t ?(bandwidth_bps = 1_000_000_000) ?(latency_ns = 30_000) ?(loss = 0.0) ~mac () =
     if String.length mac <> 6 then invalid_arg "Netsim.Bridge.new_nic: MAC must be 6 bytes";
+    check_probability "Netsim.Bridge.new_nic: loss" loss;
     let id = t.nic_seq in
     t.nic_seq <- id + 1;
     let nic =
@@ -433,7 +444,9 @@ module Bridge = struct
       end
     end
 
-  let set_loss _t nic p = nic.loss <- p
+  let set_loss _t nic p =
+    check_probability "Netsim.Bridge.set_loss" p;
+    nic.loss <- p
 
   let set_faults t nic f =
     nic.faults <- f;

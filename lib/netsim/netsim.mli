@@ -71,7 +71,10 @@ module Faults : sig
         [period_ns] (frames transmitted while down vanish).
       - [drop_when]: scripted drop predicate, called per frame with the
         virtual time and this NIC's 0-based frame index — the deterministic
-        scalpel the unit tests use to kill one precise segment. *)
+        scalpel the unit tests use to kill one precise segment.
+
+      @raise Invalid_argument if a [reorder], [duplicate] or [corrupt]
+      probability is outside \[0, 1\] or NaN. *)
   val make :
     ?ge:gilbert_elliott ->
     ?reorder:float * int ->
@@ -139,7 +142,8 @@ module Bridge : sig
 
   (** [new_nic t ~mac] attaches a NIC. Defaults: 1 Gb/s, 30 µs propagation
       latency, no loss, no faults. [loss] is a uniform per-frame drop
-      probability (kept distinct from {!Faults} for the simple tests). *)
+      probability (kept distinct from {!Faults} for the simple tests).
+      @raise Invalid_argument if [loss] is outside \[0, 1\] or NaN. *)
   val new_nic :
     t ->
     ?bandwidth_bps:int ->
@@ -150,7 +154,8 @@ module Bridge : sig
     Nic.t
 
   (** [set_loss t nic p] changes a link's drop probability mid-run (failure
-      injection for the TCP tests). *)
+      injection for the TCP tests).
+      @raise Invalid_argument if [p] is outside \[0, 1\] or NaN. *)
   val set_loss : t -> Nic.t -> float -> unit
 
   (** [detach t nic] unplugs a port: the NIC stops sending and receiving,

@@ -253,6 +253,33 @@ let test_burst_loss_params () =
   in
   check_bool "stationary loss rate" true (abs_float (pi_bad -. 0.02) < 1e-9)
 
+(* Every probability knob refuses values outside [0, 1] and NaN up front,
+   instead of silently acting as "always" or "never"; both ends of the
+   range stay legal. *)
+let test_probabilities_checked () =
+  let sim, br, a, _ = two_nics () in
+  ignore sim;
+  let rejects what f =
+    List.iter
+      (fun p ->
+        match f p with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.failf "%s accepted %g" what p)
+      [ 1.5; -0.5; Float.nan; Float.infinity ]
+  in
+  rejects "set_loss" (fun p -> Netsim.Bridge.set_loss br a p);
+  rejects "new_nic ?loss" (fun p ->
+      ignore (Netsim.Bridge.new_nic br ~loss:p ~mac:(Netsim.mac_of_int 9) ()));
+  rejects "reorder" (fun p -> ignore (Netsim.Faults.make ~reorder:(p, 1000) ()));
+  rejects "duplicate" (fun p -> ignore (Netsim.Faults.make ~duplicate:p ()));
+  rejects "corrupt" (fun p -> ignore (Netsim.Faults.make ~corrupt:p ()));
+  rejects "burst_loss" (fun p -> ignore (Netsim.Faults.burst_loss ~avg_loss:p ~burst_len:3 ()));
+  List.iter
+    (fun p ->
+      Netsim.Bridge.set_loss br a p;
+      ignore (Netsim.Faults.make ~reorder:(p, 1000) ~duplicate:p ~corrupt:p ()))
+    [ 0.0; 1.0 ]
+
 let test_scripted_drop () =
   let sim, br, a, b = two_nics () in
   Netsim.Bridge.set_faults br a
@@ -405,6 +432,7 @@ let () =
           Alcotest.test_case "gilbert-elliott all bad" `Quick test_ge_all_bad;
           Alcotest.test_case "gilbert-elliott stays good" `Quick test_ge_stays_good;
           Alcotest.test_case "burst_loss parameters" `Quick test_burst_loss_params;
+          Alcotest.test_case "probabilities checked" `Quick test_probabilities_checked;
           Alcotest.test_case "scripted drop" `Quick test_scripted_drop;
           Alcotest.test_case "reorder" `Quick test_reorder;
           Alcotest.test_case "duplicate" `Quick test_duplicate;
