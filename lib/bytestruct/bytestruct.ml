@@ -178,5 +178,3 @@ let hexdump t =
     Buffer.add_char buf '\n'
   done;
   Buffer.contents buf
-
-let pp fmt t = Format.fprintf fmt "<bytestruct len=%d>" t.len

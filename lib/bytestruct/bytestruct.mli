@@ -20,9 +20,6 @@ val create : int -> t
 val of_string : string -> t
 val of_bytes : bytes -> t
 
-(** [view ?off ?len t] returns a sub-view sharing storage with [t]. *)
-val view : ?off:int -> ?len:int -> t -> t
-
 (** {1 Observation} *)
 
 val length : t -> int
@@ -108,5 +105,3 @@ val set_string : t -> int -> string -> unit
 
 (** Conventional 16-bytes-per-line hexdump. *)
 val hexdump : t -> string
-
-val pp : Format.formatter -> t -> unit

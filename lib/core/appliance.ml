@@ -100,15 +100,12 @@ module Handle = struct
   }
 
   let networked t = t.h_networked
-  let unikernel t = t.h_networked.unikernel
   let domain t = t.h_networked.unikernel.Unikernel.domain
   let status t = t.h_status
   let stack t = stack t.h_networked
   let netif t = netif t.h_networked
   let address t = address t.h_networked
-  let hostnet t = hostnet t.h_networked
   let name t = t.h_spec.Boot_spec.config.Config.app_name
-  let spec t = t.h_spec
   let stopped t = t.h_stopped
   let on_drain t f = t.h_drain_hooks <- f :: t.h_drain_hooks
   let add_advertisement t ad = t.h_ads <- ad :: t.h_ads

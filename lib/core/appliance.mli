@@ -61,17 +61,12 @@ module Handle : sig
   (** The network plumbing: unikernel plus its network backend. *)
   val networked : t -> networked
 
-  val unikernel : t -> Unikernel.t
   val domain : t -> Xensim.Domain.t
   val stack : t -> Netstack.Stack.t
-  val netif : t -> Devices.Netif.t
   val address : t -> Netstack.Ipaddr.t
-  val hostnet : t -> Hostnet.t option
 
   (** The appliance name from the spec's config. *)
   val name : t -> string
-
-  val spec : t -> Boot_spec.t
 
   (** Resolves once the appliance reaches [Stopped]. Appliance mains that
       should live exactly as long as the domain return this. *)
@@ -81,11 +76,6 @@ module Handle : sig
       ([Uhttp.Server], [Dns.Server]). All hooks run concurrently when
       {!drain} is called; {!shutdown} skips them. *)
   val on_drain : t -> (unit -> unit Mthread.Promise.t) -> unit
-
-  (** Record an extra service-directory advertisement to withdraw at
-      death (the /metrics advertisement from [Boot_spec.metrics_port] is
-      recorded automatically). *)
-  val add_advertisement : t -> string -> unit
 
   (** Immediate stop: withdraw advertisements, detach the vif (frames in
       flight vanish), destroy the domain with exit code 0. Idempotent. *)

@@ -35,7 +35,6 @@ let typed name extract t key =
     | Some x -> Some x
     | None -> raise (Type_error (Printf.sprintf "key %s is not a %s" key name)))
 
-let ip t key = typed "ip" (function Ip v -> Some v | _ -> None) t key
 let string t key = typed "string" (function String v -> Some v | _ -> None) t key
 let int t key = typed "int" (function Int v -> Some v | _ -> None) t key
 let bool t key = typed "bool" (function Bool v -> Some v | _ -> None) t key

@@ -40,11 +40,7 @@ val make :
 val static : string -> value -> binding
 val dynamic : string -> value -> binding
 
-val find : t -> string -> value option
 val find_exn : t -> string -> value
-
-(** @raise Type_error when present with another type. *)
-val ip : t -> string -> Netstack.Ipaddr.t option
 
 val string : t -> string -> string option
 val int : t -> string -> int option

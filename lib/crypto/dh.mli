@@ -6,10 +6,8 @@
     offers no security. The production substitution would be an RFC 3526
     group over a bignum — documented in DESIGN.md. *)
 
-(** The group generator and modulus. *)
+(** The group modulus. *)
 val p : int
-
-val g : int
 
 type keypair = { secret : int; public : int }
 

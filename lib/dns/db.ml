@@ -76,8 +76,6 @@ let lookup t ~qname ~qtype =
 
 let entries t = Hashtbl.length t.table
 
-let origin t = t.origin
-
 let answer t ~id (q : Dns_wire.question) =
   match lookup t ~qname:q.Dns_wire.qname ~qtype:q.Dns_wire.qtype with
   | Answers rrs ->

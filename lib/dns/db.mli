@@ -9,18 +9,12 @@ type lookup_result =
   | Nx_domain of Dns_wire.rr  (** name absent; SOA *)
   | Not_authoritative
 
-val create : origin:Dns_name.t -> t
-
 val of_zone : Zone.t -> t
-
-val add : t -> Dns_wire.rr -> unit
 
 val lookup : t -> qname:Dns_name.t -> qtype:Dns_wire.qtype -> lookup_result
 
 (** Distinct names in the zone (Figure 10's x-axis). *)
 val entries : t -> int
-
-val origin : t -> Dns_name.t
 
 (** Build the full response message for one query. *)
 val answer : t -> id:int -> Dns_wire.question -> Dns_wire.message

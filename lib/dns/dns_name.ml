@@ -8,7 +8,6 @@ let of_string s =
 let to_string = function [] -> "." | labels -> String.concat "." labels
 
 let equal a b = a = b
-let compare = compare
 
 let rec suffixes = function [] -> [] | _ :: rest as l -> l :: suffixes rest
 
@@ -20,5 +19,3 @@ let is_suffix ~suffix name =
   drop (ln - ls) name = suffix
 
 let encoded_length t = List.fold_left (fun acc l -> acc + 1 + String.length l) 1 t
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

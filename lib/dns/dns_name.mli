@@ -7,7 +7,6 @@ val of_string : string -> t
 
 val to_string : t -> string
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 (** Non-empty suffixes of a name, longest first: used by compression.
     [suffixes ["a";"b";"c"]] = [[a;b;c]; [b;c]; [c]]. *)
@@ -18,5 +17,3 @@ val is_suffix : suffix:t -> t -> bool
 
 (** Total encoded length (labels + length bytes + root). *)
 val encoded_length : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -24,4 +24,3 @@ let add t ~qname ~qtype encoded = Hashtbl.replace t.table (key ~qname ~qtype) (B
 
 let hits t = t.hits
 let misses t = t.misses
-let entries t = Hashtbl.length t.table

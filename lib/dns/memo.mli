@@ -15,4 +15,3 @@ val add : t -> qname:Dns_name.t -> qtype:Dns_wire.qtype -> Bytestruct.t -> unit
 
 val hits : t -> int
 val misses : t -> int
-val entries : t -> int

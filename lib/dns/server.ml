@@ -54,7 +54,6 @@ module Make (U : Device_sig.UDP) = struct
     memo : Memo.t option;
     mutable served : int;
     mutable decode_failures : int;
-    mutable draining : bool;
   }
 
   let charge t ~memo_hit =
@@ -130,23 +129,12 @@ module Make (U : Device_sig.UDP) = struct
   let create sim ?dom ~udp ?(port = 53) ~db ~engine () =
     let memo = match engine with Mirage { memoize = true } -> Some (Memo.create ()) | _ -> None in
     let t =
-      { sim; dom; udp; port; db; engine; memo; served = 0; decode_failures = 0; draining = false }
+      { sim; dom; udp; port; db; engine; memo; served = 0; decode_failures = 0 }
     in
     U.listen udp ~port (fun ~src ~src_port ~dst_port ~payload ->
         handle t ~src ~src_port ~dst_port ~payload);
     t
 
-  (* Datagram drain is immediate: unlisten, and any answer already being
-     charged to the vCPU still goes out ([respond] holds the socket, not
-     the listener). Idempotent. *)
-  let drain t =
-    if not t.draining then begin
-      t.draining <- true;
-      U.unlisten t.udp ~port:t.port
-    end;
-    Mthread.Promise.return ()
-
-  let draining t = t.draining
   let queries_served t = t.served
   let decode_failures t = t.decode_failures
   let memo t = t.memo

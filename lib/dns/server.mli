@@ -33,12 +33,6 @@ module Make (U : Device_sig.UDP) : sig
     unit ->
     t
 
-  (** Graceful drain: close the listener; an answer already in flight
-      still goes out (the response path holds the socket, not the
-      listener). Resolves immediately; idempotent. *)
-  val drain : t -> unit Mthread.Promise.t
-
-  val draining : t -> bool
   val queries_served : t -> int
   val decode_failures : t -> int
   val memo : t -> Memo.t option

@@ -13,8 +13,6 @@ let next_int64 t =
 
 let split t = { state = next_int64 t }
 
-let copy t = { state = t.state }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   let mask = Int64.shift_right_logical (next_int64 t) 1 in

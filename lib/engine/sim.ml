@@ -129,7 +129,6 @@ let run ?until t =
 
 let stop t = t.stopped <- true
 
-let ns x = x
 let us x = x * 1_000
 let ms x = x * 1_000_000
 let sec x = x * 1_000_000_000

@@ -72,7 +72,6 @@ val vcpu_totals : t -> vcpu_totals list
 
 (** Time-unit helpers (all return nanoseconds). *)
 
-val ns : int -> int
 val us : int -> int
 val ms : int -> int
 val sec : int -> int

@@ -24,13 +24,6 @@ val create :
 val kernel_stack : t -> Netstack.Stack.t
 
 val netif : t -> Devices.Netif.t
-val address : t -> Netstack.Ipaddr.t
-
-(** Socket calls that crossed the user/kernel boundary. *)
-val socket_ops : t -> int
-
-(** Payload bytes copied across it. *)
-val bytes_copied : t -> int
 
 (** The socket layer under the {!Device_sig} contracts. *)
 module Device : sig

@@ -30,8 +30,6 @@ let close t =
     flush ()
   end
 
-let length t = Queue.length t.buffered
-
 let next t =
   match Queue.take_opt t.buffered with
   | Some v -> Promise.return (Some v)
@@ -42,11 +40,6 @@ let next t =
       Queue.add u t.waiters;
       p
     end
-
-let rec iter f t =
-  Promise.bind (next t) (function
-    | None -> Promise.return ()
-    | Some v -> Promise.bind (f v) (fun () -> iter f t))
 
 let rec fold f t acc =
   Promise.bind (next t) (function

@@ -41,10 +41,6 @@ val state : 'a t -> [ `Pending | `Resolved of 'a | `Failed of exn ]
 (** Whether a wakener's promise is still pending (its wakeup would land). *)
 val wakener_pending : 'a u -> bool
 
-(** [on_resolve t f] calls [f] when [t] settles (immediately if already
-    settled). *)
-val on_resolve : 'a t -> (('a, exn) result -> unit) -> unit
-
 (** {1 Exception handling} *)
 
 val catch : (unit -> 'a t) -> (exn -> 'a t) -> 'a t

@@ -52,8 +52,6 @@ module Faults : sig
 
   type t
 
-  val none : t
-
   (** Compose a fault schedule. All components default to off.
       - [ge]: bursty loss channel (see {!gilbert_elliott}).
       - [reorder]: [(p, extra_ns)] — with probability [p] a frame is held
@@ -166,7 +164,7 @@ module Bridge : sig
   (** [set_faults t nic f] installs a fault schedule on a link (replacing
       any previous one) and re-seeds the link's fault PRNG by splitting the
       bridge PRNG, so each installation starts a fresh deterministic
-      stream. [Faults.none] restores a clean link. *)
+      stream. [Faults.make ()] restores a clean link. *)
   val set_faults : t -> Nic.t -> Faults.t -> unit
 
   val forwarded : t -> int

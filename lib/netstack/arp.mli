@@ -26,4 +26,3 @@ val add_static : t -> ip:Ipaddr.t -> mac:Macaddr.t -> unit
 val announce : t -> unit Mthread.Promise.t
 
 val requests_sent : t -> int
-val replies_sent : t -> int

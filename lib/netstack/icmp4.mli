@@ -13,6 +13,3 @@ val ping : t -> dst:Ipaddr.t -> seq:int -> ?len:int -> unit -> int Mthread.Promi
 
 val echo_requests_answered : t -> int
 val echo_replies_received : t -> int
-
-(** Packets dropped for bad ICMP checksum. *)
-val checksum_failures : t -> int

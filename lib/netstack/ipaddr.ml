@@ -27,11 +27,9 @@ let of_int32 x = x
 let to_int32 t = t
 let equal = Int32.equal
 let compare = Int32.compare
-let hash t = Int32.to_int t land max_int
 
 let same_subnet ~netmask a b =
   Int32.equal (Int32.logand a netmask) (Int32.logand b netmask)
 
 let get buf off = Bytestruct.BE.get_uint32 buf off
 let set buf off t = Bytestruct.BE.set_uint32 buf off t
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -16,7 +16,6 @@ val of_int32 : int32 -> t
 val to_int32 : t -> int32
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 (** [same_subnet ~netmask a b]. *)
 val same_subnet : netmask:t -> t -> t -> bool
@@ -25,4 +24,3 @@ val same_subnet : netmask:t -> t -> t -> bool
 val get : Bytestruct.t -> int -> t
 
 val set : Bytestruct.t -> int -> t -> unit
-val pp : Format.formatter -> t -> unit

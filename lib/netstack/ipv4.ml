@@ -66,7 +66,6 @@ let create sim eth arp cfg =
   t
 
 let address t = t.cfg.address
-let config t = t.cfg
 
 let set_config t cfg =
   t.cfg <- cfg;

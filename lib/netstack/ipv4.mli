@@ -19,7 +19,6 @@ type handler = src:Ipaddr.t -> dst:Ipaddr.t -> payload:Bytestruct.t -> unit
 val create : Engine.Sim.t -> Ethernet.t -> Arp.t -> config -> t
 
 val address : t -> Ipaddr.t
-val config : t -> config
 
 (** Reconfigure (DHCP). Also updates the ARP layer's protocol address. *)
 val set_config : t -> config -> unit
@@ -29,9 +28,6 @@ val set_handler : t -> proto:int -> handler -> unit
 (** [output t ~dst ~proto fragments] routes and emits one datagram; the
     fragments must already fit the MTU less the 20-byte header. *)
 val output : t -> dst:Ipaddr.t -> proto:int -> Bytestruct.t list -> unit Mthread.Promise.t
-
-(** Maximum payload per datagram. *)
-val payload_mtu : t -> int
 
 (** Datagrams dropped for bad header checksum / malformed header. *)
 val checksum_failures : t -> int

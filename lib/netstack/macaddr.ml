@@ -24,10 +24,7 @@ let to_bytes t = t
 let to_string t =
   String.concat ":" (List.init 6 (fun i -> Printf.sprintf "%02x" (Char.code t.[i])))
 
-let equal = String.equal
-let compare = String.compare
 let is_broadcast t = t = broadcast
 
 let get buf off = Bytestruct.get_string buf off 6
 let set buf off t = Bytestruct.set_string buf off t
-let pp fmt t = Format.pp_print_string fmt (to_string t)

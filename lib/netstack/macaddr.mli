@@ -12,12 +12,9 @@ val of_string : string -> t
 
 val to_bytes : t -> string
 val to_string : t -> string
-val equal : t -> t -> bool
-val compare : t -> t -> int
 val is_broadcast : t -> bool
 
 (** Read/write at an offset inside a frame. *)
 val get : Bytestruct.t -> int -> t
 
 val set : Bytestruct.t -> int -> t -> unit
-val pp : Format.formatter -> t -> unit

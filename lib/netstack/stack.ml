@@ -36,7 +36,6 @@ let create sim ?dom ?(announce = true) ~netif config =
           };
         return t)
 
-let ethernet t = t.eth
 let arp t = t.arp
 let ipv4 t = t.ip
 let icmp t = t.icmp

@@ -22,7 +22,6 @@ val create :
   ip_config ->
   t Mthread.Promise.t
 
-val ethernet : t -> Ethernet.t
 val arp : t -> Arp.t
 val ipv4 : t -> Ipv4.t
 val icmp : t -> Icmp4.t

@@ -63,9 +63,6 @@ val remote : flow -> Ipaddr.t * int
 val local_port : flow -> int
 val state_name : flow -> string
 
-(** Bytes acked by the peer — the iperf measurement hook. *)
-val bytes_acked : flow -> int
-
 val bytes_received : flow -> int
 val cwnd : flow -> int
 

@@ -16,8 +16,6 @@ module Seq = struct
   let gt a b = diff a b > 0
   let geq a b = diff a b >= 0
   let equal a b = a = b
-  let max a b = if geq a b then a else b
-  let pp fmt t = Format.fprintf fmt "%u" t
 end
 
 type flags = { syn : bool; ack : bool; fin : bool; rst : bool; psh : bool }

@@ -18,8 +18,6 @@ module Seq : sig
   val gt : t -> t -> bool
   val geq : t -> t -> bool
   val equal : t -> t -> bool
-  val max : t -> t -> t
-  val pp : Format.formatter -> t -> unit
 end
 
 type flags = { syn : bool; ack : bool; fin : bool; rst : bool; psh : bool }

@@ -59,7 +59,6 @@ type t = {
   profile : profile;
   app : app;
   mutable packet_ins : int;
-  mutable replies : int;
   mutable switches : int;
   mutable next_xid : int;
 }
@@ -85,7 +84,6 @@ let serve t flow =
   let out = Buffer.create 512 in
   let queue_reply msg =
     t.next_xid <- t.next_xid + 1;
-    t.replies <- t.replies + 1;
     Buffer.add_string out (Of_wire.encode ~xid:t.next_xid msg)
   in
   let rec handle_buffered () =
@@ -133,7 +131,7 @@ let serve t flow =
 let create sim ?dom ~tcp ?(port = 6633) ~profile ?app () =
   let app = match app with Some a -> a | None -> learning_app () in
   let t =
-    { sim; dom; profile; app; packet_ins = 0; replies = 0; switches = 0; next_xid = 0 }
+    { sim; dom; profile; app; packet_ins = 0; switches = 0; next_xid = 0 }
   in
   Netstack.Tcp.listen tcp ~port (fun flow ->
       Mthread.Promise.catch
@@ -144,5 +142,4 @@ let create sim ?dom ~tcp ?(port = 6633) ~profile ?app () =
   t
 
 let packet_ins t = t.packet_ins
-let replies_sent t = t.replies
 let switches_connected t = t.switches

@@ -2,8 +2,6 @@
     learning switch need — HELLO / ECHO / FEATURES / PACKET_IN /
     PACKET_OUT / FLOW_MOD / ERROR. *)
 
-val version : int  (** 0x01 *)
-
 (** ofp_match with the wildcard bits this subset honours. *)
 type match_ = {
   wildcard_in_port : bool;

@@ -30,7 +30,6 @@ let create_pool ?(buf_bytes = 2048) ?(grow_batch = 64) ~name () =
     total = 0;
   }
 
-let buf_bytes p = p.buf_bytes
 let free_buffers p = Queue.length p.free
 let outstanding p = p.total - Queue.length p.free
 let bytes_reserved p = Pvboot.Slab_allocator.bytes_reserved p.slab

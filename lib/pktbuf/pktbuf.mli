@@ -35,8 +35,6 @@ exception Double_free
     The pool grows on demand, [grow_batch] buffers at a time. *)
 val create_pool : ?buf_bytes:int -> ?grow_batch:int -> name:string -> unit -> pool
 
-val buf_bytes : pool -> int
-
 (** Buffers currently sitting in the freelist. *)
 val free_buffers : pool -> int
 

@@ -46,7 +46,6 @@ module Make (T : Device_sig.TCP) = struct
     mutable tx_keys : keys option;
     mutable rx_keys : keys option;
     mutable host_key : string;
-    mutable session_id : string;
   }
 
   let make flow =
@@ -58,7 +57,6 @@ module Make (T : Device_sig.TCP) = struct
       tx_keys = None;
       rx_keys = None;
       host_key = "";
-      session_id = "";
     }
 
   let send t msg =
@@ -124,7 +122,6 @@ module Make (T : Device_sig.TCP) = struct
     t.rx_keys <- Some c2s;
     t.tx_keys <- Some s2c;
     t.host_key <- host_key;
-    t.session_id <- exchange_hash;
     expect t "SERVICE_REQUEST" (function Ssh_wire.Service_request s -> Some s | _ -> None)
     >>= fun service ->
     if service <> "ssh-connection" then P.fail (Protocol_error ("unknown service " ^ service))
@@ -158,12 +155,10 @@ module Make (T : Device_sig.TCP) = struct
     t.tx_keys <- Some c2s;
     t.rx_keys <- Some s2c;
     t.host_key <- host_key;
-    t.session_id <- Crypto.Sha256.digest (Printf.sprintf "%s|%d" transcript shared);
     send t (Ssh_wire.Service_request "ssh-connection") >>= fun () ->
     expect t "SERVICE_ACCEPT" (function Ssh_wire.Service_accept _ -> Some () | _ -> None)
     >>= fun () -> P.return t
 
   let host_key t = t.host_key
-  let session_id t = t.session_id
   let close t = T.close t.flow
 end

@@ -29,8 +29,5 @@ module Make (T : Device_sig.TCP) : sig
   (** The server host public key observed during the handshake. *)
   val host_key : t -> string
 
-  (** Negotiated session identifier (the kex transcript hash). *)
-  val session_id : t -> string
-
   val close : t -> unit Mthread.Promise.t
 end

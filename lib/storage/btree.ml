@@ -396,8 +396,6 @@ let open_ backend =
 
 let get t key = get_from t t.root key
 
-let mem t key = open_p (get t key) (fun r -> return (r <> None))
-
 let set t key value =
   open_p (insert_node t t.root key value) (fun result ->
       (match result with

@@ -21,7 +21,6 @@ val create : Backend.t -> t Mthread.Promise.t
 val open_ : Backend.t -> t Mthread.Promise.t
 
 val get : t -> string -> string option Mthread.Promise.t
-val mem : t -> string -> bool Mthread.Promise.t
 val set : t -> string -> string -> unit Mthread.Promise.t
 val delete : t -> string -> unit Mthread.Promise.t
 

@@ -411,4 +411,3 @@ let free_clusters t =
   done;
   !n
 
-let cluster_bytes = cluster_bytes

@@ -49,4 +49,3 @@ val is_directory : t -> string -> bool Mthread.Promise.t
 val exists : t -> string -> bool Mthread.Promise.t
 
 val free_clusters : t -> int
-val cluster_bytes : t -> int

@@ -15,7 +15,6 @@ let remove t k = Hashtbl.remove t k
 let mem t k = Hashtbl.mem t k
 let size t = Hashtbl.length t
 let keys t = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t [])
-let iter f t = Hashtbl.iter f t
 
 let serialize t =
   let total =

@@ -17,8 +17,6 @@ val size : t -> int
 (** Keys in lexicographic order. *)
 val keys : t -> string list
 
-val iter : (string -> string -> unit) -> t -> unit
-
 (** {1 Serialisation} — format: magic, count, then length-prefixed pairs. *)
 
 val serialize : t -> Bytestruct.t

@@ -72,11 +72,8 @@ module Make (T : Device_sig.TCP) = struct
           Mthread.Promise.catch (fun () -> handle t flow) (fun _ -> T.close flow));
       t
 
-    let kv t = t.store
     let gets t = t.gets
     let sets t = t.sets
-    let hits t = t.hits
-    let misses t = t.misses
   end
 
   module Client = struct

@@ -12,11 +12,8 @@ module Make (T : Device_sig.TCP) : sig
     (** [create tcp ~port] starts serving; storage is an internal {!Kv}. *)
     val create : T.t -> port:int -> t
 
-    val kv : t -> Kv.t
     val gets : t -> int
     val sets : t -> int
-    val hits : t -> int
-    val misses : t -> int
   end
 
   module Client : sig

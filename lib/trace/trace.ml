@@ -432,9 +432,6 @@ let record_span_ns ?(dom = -1) ?(payload = []) ~cat name dur =
     record ~dom ~payload:(("dur_ns", Int dur) :: payload) ~cat ~phase:End name
   end
 
-let sample ?(dom = -1) ~cat name v =
-  if enabled () then span_record (span_acc ~cat ~dom name) (max 0 v)
-
 let span_stats () =
   Hashtbl.fold
     (fun _ sa acc ->
@@ -586,7 +583,6 @@ module Metrics = struct
       m.m_value <- (if m.m_value > max_int - n then max_int else m.m_value + n)
 
   let set m v = if enabled () then m.m_value <- v
-  let add m d = if enabled () then m.m_value <- m.m_value + d
 
   let observe m v =
     if enabled () then match m.m_hist with Some h -> Hist.record h (max 0 v) | None -> ()

@@ -25,8 +25,6 @@ type category =
   | Net  (** network stack (TCP rtt, retransmit, rx processing) *)
   | User of string
 
-val category_name : category -> string
-
 (** Typed event payloads, kept primitive so emission never allocates
     surprisingly. *)
 type value = Int of int | Float of float | String of string | Bool of bool
@@ -102,7 +100,6 @@ end
 val planes : unit -> int
 
 val plane_trace : int
-val plane_metrics : int
 val plane_prof : int
 val plane_dpath : int
 val plane_flight : int
@@ -227,12 +224,6 @@ val finish : ?payload:payload -> span -> unit
     ["lag_ns"] payload when present). *)
 val record_span_ns : ?dom:int -> ?payload:payload -> cat:category -> string -> int -> unit
 
-(** [sample ~dom ~cat name v] records into the same per-(name, domain)
-    histogram WITHOUT emitting an event — for high-frequency series where
-    the distribution matters but per-occurrence events would flood the
-    ring. *)
-val sample : ?dom:int -> cat:category -> string -> int -> unit
-
 type span_stat = {
   span_name : string;
   span_cat : category;
@@ -323,8 +314,6 @@ module Metrics : sig
 
   (** Gauge store / signed delta. *)
   val set : metric -> int -> unit
-
-  val add : metric -> int -> unit
 
   (** Record one observation into a summary's histogram. *)
   val observe : metric -> int -> unit

@@ -100,5 +100,3 @@ let hypercall d ~name =
   ignore (reserve d d.platform.Platform.hypercall_ns)
 
 let shutdown d ~exit_code = d.state <- Shutdown exit_code
-
-let pp fmt d = Format.fprintf fmt "dom%d(%s)" d.id d.name

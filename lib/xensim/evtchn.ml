@@ -138,5 +138,3 @@ let close t p =
         Hashtbl.remove t.ports q
       | None -> ()))
 
-let owner t p = (get t p).owner
-let peer t p = (get t p).peer

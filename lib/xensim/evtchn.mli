@@ -38,6 +38,3 @@ val is_pending : t -> port -> bool
     already-closed port is a no-op. Any in-flight delivery for the port is
     dropped. *)
 val close : t -> port -> unit
-
-val owner : t -> port -> int
-val peer : t -> port -> port option

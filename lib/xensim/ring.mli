@@ -21,13 +21,6 @@ module Sring : sig
   (** [attach page ~slot_bytes] wraps an already-initialised page (backend
       side, after grant-mapping it). *)
   val attach : Bytestruct.t -> slot_bytes:int -> t
-
-  (** Number of slots (a power of two). *)
-  val nr_slots : t -> int
-
-  (** [slot t i] is the view for free-running index [i] (wrapped mod
-      {!nr_slots}). *)
-  val slot : t -> int -> Bytestruct.t
 end
 
 (** Frontend (request producer / response consumer). *)
@@ -51,8 +44,6 @@ module Front : sig
       [rsp_event] so the backend will notify when more arrive, and re-checks
       once afterwards (Xen's final-check idiom). *)
   val consume_responses : t -> (Bytestruct.t -> unit) -> int
-
-  val has_unconsumed_responses : t -> bool
 end
 
 (** Backend (request consumer / response producer). *)
@@ -64,8 +55,6 @@ module Back : sig
   (** Consume available requests; same final-check contract as
       {!Front.consume_responses}. *)
   val consume_requests : t -> (Bytestruct.t -> unit) -> int
-
-  val has_unconsumed_requests : t -> bool
 
   (** [next_response t] claims the next response slot (aliasing the oldest
       consumed request slot). *)

@@ -2,31 +2,6 @@ open Testlib
 module P = Mthread.Promise
 open P.Infix
 
-(* ---- Io_page ---- *)
-
-let test_io_page_pool () =
-  let pool = Devices.Io_page.create ~initial:2 () in
-  check_int "initial free" 2 (Devices.Io_page.free_count pool);
-  let p1 = Devices.Io_page.alloc pool in
-  let _p2 = Devices.Io_page.alloc pool in
-  let p3 = Devices.Io_page.alloc pool in
-  check_int "grew beyond initial" 0 (Devices.Io_page.free_count pool);
-  check_int "outstanding" 3 (Devices.Io_page.outstanding pool);
-  check_int "page size" Devices.Io_page.page_bytes (Bytestruct.length p1);
-  Bytestruct.set_string p1 0 "dirty";
-  Devices.Io_page.recycle pool p1;
-  Devices.Io_page.recycle pool p3;
-  check_int "recycled" 2 (Devices.Io_page.free_count pool);
-  let p4 = Devices.Io_page.alloc pool in
-  check_int "recycled page zeroed" 0 (Bytestruct.get_uint8 p4 0)
-
-let test_io_page_recycle_rejects_views () =
-  let pool = Devices.Io_page.create () in
-  let p = Devices.Io_page.alloc pool in
-  match Devices.Io_page.recycle pool (Bytestruct.sub p 0 100) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "partial view must not be recycled"
-
 (* ---- Netif ---- *)
 
 let netif_pair () =
@@ -219,11 +194,6 @@ let test_console_boot_banner () =
 let () =
   Alcotest.run "devices"
     [
-      ( "io_page",
-        [
-          Alcotest.test_case "pool alloc/recycle" `Quick test_io_page_pool;
-          Alcotest.test_case "recycle rejects views" `Quick test_io_page_recycle_rejects_views;
-        ] );
       ( "netif",
         [
           Alcotest.test_case "tx/rx" `Quick test_netif_tx_rx;

@@ -17,20 +17,27 @@
 #                             lib/core/world.ml; every simulated host
 #                             comes from Core.World
 #   2. dune build           — the tree compiles
-#   3. dune runtest         — unit/golden tests plus `bench obs-guard`
+#   3. unused exports       — `dune build @check`, then
+#                             tools/unused_exports.exe reads the .cmt/.cmti
+#                             files: fails on any lib/ .mli value no other
+#                             unit references (section a) or any unused
+#                             `libraries` entry in lib/*/dune (section c);
+#                             prints the test-only values (section b) in
+#                             full without failing. No allowlist.
+#   4. dune runtest         — unit/golden tests plus `bench obs-guard`
 #                             (every disabled probe site against its
 #                             budget, figure-8 invariance with all
 #                             observability planes on at once)
-#   4. bench obs-planes     — figure-8 invariance one observability plane
+#   5. bench obs-planes     — figure-8 invariance one observability plane
 #                             at a time (metrics, prof, dpath, flight,
 #                             capture), so a difference names its plane
-#   5. tools/check_fmt.sh   — dune + ocamlformat formatting gate
-#   6. tools/bench_gate.sh  — fresh `bench --out` run of the deterministic
+#   6. tools/check_fmt.sh   — dune + ocamlformat formatting gate
+#   7. tools/bench_gate.sh  — fresh `bench --out` run of the deterministic
 #                             virtual-time experiments (dpath, bootstorm,
 #                             capture) against the committed BENCH_micro.json
 #                             snapshot; every gated metric prints its
 #                             delta even on pass
-#   7. paper gate           — fresh `bench --out` run of every paper figure
+#   8. paper gate           — fresh `bench --out` run of every paper figure
 #                             and table except fig9, diffed against the
 #                             committed BENCH_paper.json at zero tolerance
 #                             (virtual time is deterministic per seed)
@@ -54,6 +61,10 @@ fi
 
 echo "== ci: dune build =="
 dune build
+
+echo "== ci: unused exports =="
+dune build @check
+dune exec tools/unused_exports.exe
 
 echo "== ci: dune runtest =="
 dune runtest
